@@ -126,10 +126,8 @@ class StagingPool:
         """Attempt one allocation under the lock; ``None`` if starved.
 
         The allocation policy (best-fit reuse, evict-then-allocate,
-        oversize liveness rule) lives here so subclasses — notably the
-        shared-memory pool the parallel save engine stages through —
-        can swap the storage substrate while inheriting the FIFO
-        admission discipline of :meth:`acquire`.
+        oversize liveness rule), shared by :meth:`acquire` and
+        :meth:`try_acquire`.
         """
         best = None
         for index, buf in enumerate(self._free):
@@ -201,8 +199,7 @@ class StagingPool:
 
         Respects FIFO admission — returns ``None`` while earlier
         acquires are queued, even if capacity happens to be free (it is
-        theirs).  Used by the parallel engine for scratch regions it
-        can satisfy elsewhere rather than deadlock on.
+        theirs).
         """
         with self._cond:
             if self._waiters:
@@ -218,9 +215,6 @@ class StagingPool:
             else:
                 self._allocated -= len(buffer)
             self._cond.notify_all()
-
-    def close(self) -> None:
-        """Release pooled resources (no-op for heap buffers)."""
 
     @property
     def idle_buffers(self) -> int:
@@ -266,13 +260,6 @@ class AsyncWriteBackend(CheckpointBackend):
         Byte budget of the :class:`StagingPool` the pipeline snapshots
         frame payloads into.  Lower it to model tight staging memory:
         producers block once the arena is full of in-flight payloads.
-    staging_pool:
-        Inject a pool instead of building a private one — the parallel
-        save engine passes its :class:`SharedStagingPool` here so the
-        async staging copy lands directly in shared memory and the
-        worker processes hash/compress it in place (one copy total).
-        An injected pool is not closed by :meth:`close` (the engine
-        owns it).
     scheduler:
         The :class:`~repro.io.scheduler.IOScheduler` persist batches are
         submitted to (``SAVE`` class, on a serial lane so the inner
@@ -285,7 +272,6 @@ class AsyncWriteBackend(CheckpointBackend):
         inner: CheckpointBackend,
         max_pending: int = 256,
         arena_bytes: int = DEFAULT_ARENA_BYTES,
-        staging_pool: Optional[StagingPool] = None,
         scheduler: Optional[IOScheduler] = None,
     ) -> None:
         if max_pending < 1:
@@ -294,8 +280,7 @@ class AsyncWriteBackend(CheckpointBackend):
         # and must not be shadowed by an instance attribute.
         self.inner = inner
         self.max_pending = max_pending
-        self.staging = staging_pool if staging_pool is not None else StagingPool(arena_bytes)
-        self._owns_staging = staging_pool is None
+        self.staging = StagingPool(arena_bytes)
         self.bytes_written = 0  # accepted (staged) payload bytes
         self.put_count = 0
         # Backpressure is accounted per ENTRY (via the semaphore), not
@@ -592,8 +577,6 @@ class AsyncWriteBackend(CheckpointBackend):
         self._wait_drained()
         self._scheduler.release_lane(self._lane.name)
         self.inner.close()
-        if self._owns_staging:
-            self.staging.close()
         self._raise_pending()
 
     def abort(self) -> None:
@@ -616,8 +599,6 @@ class AsyncWriteBackend(CheckpointBackend):
                 self._error = AsyncWriteError("aborted")
         self._wait_drained(timeout=10.0)
         self._scheduler.release_lane(self._lane.name)
-        if self._owns_staging:
-            self.staging.close()
 
     def __enter__(self) -> "AsyncWriteBackend":
         return self

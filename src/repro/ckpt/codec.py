@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
+import threading
 import warnings
 import zlib
 from collections import Counter
@@ -56,10 +57,22 @@ DEFAULT_FIELD_DTYPES: Dict[str, np.dtype] = {
 
 @dataclass
 class CodecStats:
-    """Byte accounting across a codec's lifetime."""
+    """Byte accounting across a codec's lifetime.
+
+    :meth:`add` is safe to call from several threads at once (the dedup
+    store encodes chunks on scheduler threads).
+    """
 
     raw_bytes: int = 0
     encoded_bytes: int = 0
+    _lock: threading.Lock = field(
+        default_factory=threading.Lock, repr=False, compare=False
+    )
+
+    def add(self, raw_bytes: int, encoded_bytes: int) -> None:
+        with self._lock:
+            self.raw_bytes += raw_bytes
+            self.encoded_bytes += encoded_bytes
 
     @property
     def ratio(self) -> float:
@@ -96,8 +109,7 @@ class PrecisionCodec:
             if target is not None and array.dtype.kind == "f":
                 array = self._safe_downcast(array, np.dtype(target))
             encoded[name] = array
-        self.stats.raw_bytes += entry_nbytes(entry)
-        self.stats.encoded_bytes += entry_nbytes(encoded)
+        self.stats.add(entry_nbytes(entry), entry_nbytes(encoded))
         return encoded
 
     def decode(self, entry: Mapping[str, np.ndarray]) -> Dict[str, np.ndarray]:
@@ -205,9 +217,7 @@ class ChunkCodec:
         out: List[bytes] = [comp.compress(part) for part in parts]
         out.append(comp.flush())
         encoded = b"".join(out)
-        raw = sum(len(part) for part in parts)
-        self.stats.raw_bytes += raw
-        self.stats.encoded_bytes += len(encoded)
+        self.stats.add(sum(len(part) for part in parts), len(encoded))
         return encoded
 
     def encode(self, data: Union[bytes, memoryview]) -> bytes:
@@ -218,10 +228,6 @@ class ChunkCodec:
         raw = decomp.decompress(bytes(data))
         tail = getattr(decomp, "flush", lambda: b"")()
         return raw + tail if tail else raw
-
-    def spec(self) -> Dict[str, object]:
-        """Picklable recipe a worker process rebuilds the codec from."""
-        return {"name": self.name, "level": self.level, "dictionary": self.dictionary}
 
 
 class ZlibChunkCodec(ChunkCodec):
@@ -314,9 +320,7 @@ class LZ4ChunkCodec(ChunkCodec):
         out.extend(comp.compress(bytes(part)) for part in parts)
         out.append(comp.flush())
         encoded = b"".join(out)
-        raw = sum(len(part) for part in parts)
-        self.stats.raw_bytes += raw
-        self.stats.encoded_bytes += len(encoded)
+        self.stats.add(sum(len(part) for part in parts), len(encoded))
         return encoded
 
     def decode(self, data: Union[bytes, memoryview]) -> bytes:
@@ -424,7 +428,9 @@ def decode_chunk_file(
     dedup store keeps trained dictionaries content-addressed next to the
     chunks); it is only consulted when the frame references one.
     ``_codec_cache`` lets hot readers reuse codec instances keyed by
-    (tag, dict digest).
+    (tag, dict digest); concurrent decoders may share one (the fill is a
+    single atomic ``setdefault``, and codecs build a fresh decompressor
+    per call).
     """
     view = memoryview(data)
     if len(view) < _FRAME_HEAD.size + _FRAME_LEN.size:
@@ -457,7 +463,7 @@ def decode_chunk_file(
         except CodecUnavailable as exc:  # pragma: no cover - env specific
             raise ChunkCodecError(f"codec {name!r} needed to read chunk: {exc}") from exc
         if _codec_cache is not None:
-            _codec_cache[key] = codec
+            codec = _codec_cache.setdefault(key, codec)
     try:
         raw = codec.decode(view[offset:])
     except ChunkCodecError:

@@ -49,11 +49,13 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import threading
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import jsonl
+from ..io.scheduler import IOLane, QoS, get_scheduler
 from ..obs.metrics import get_registry
 from ..obs.trace import span as _span
 from .backend import CheckpointBackend, CrashInjected, KVStoreError
@@ -110,6 +112,64 @@ def chunk_payload(payload: bytes, chunk_bytes: int) -> List[bytes]:
 
 def chunk_digest(chunk: bytes) -> str:
     return hashlib.sha256(chunk).hexdigest()
+
+
+class _FanOut:
+    """``[fn(item) for item in items]``, shared between the calling
+    thread and helper tasks on the I/O scheduler.
+
+    Every participant claims the next unclaimed item until none are
+    left, so the caller never waits for a helper that has not started:
+    it works through whatever the helpers have not claimed, then waits
+    only for items a *running* helper holds (helpers still queued are
+    cancelled).  A fan-out started on a scheduler worker — an async
+    drain, a parallel restore fetch — therefore cannot deadlock the
+    pool, however busy it is.  The first exception any item raises is
+    re-raised to the caller once the claimed items have settled.
+    """
+
+    def __init__(self, fn: Callable, items: Sequence) -> None:
+        self.fn = fn
+        self.items = items
+        self.results: List[object] = [None] * len(items)
+        self.error: Optional[BaseException] = None
+        self._claimed = 0
+        self._settled = 0
+        self._cond = threading.Condition()
+
+    def work(self) -> None:
+        while True:
+            with self._cond:
+                if self._claimed == len(self.items) or self.error is not None:
+                    return
+                index = self._claimed
+                self._claimed += 1
+            try:
+                self.results[index] = self.fn(self.items[index])
+            except BaseException as exc:  # noqa: BLE001 - re-raised by run()
+                with self._cond:
+                    if self.error is None:
+                        self.error = exc
+            finally:
+                with self._cond:
+                    self._settled += 1
+                    self._cond.notify_all()
+
+    def run(self, lane: IOLane, qos: QoS) -> List[object]:
+        scheduler = get_scheduler()
+        helpers = [
+            scheduler.submit(self.work, qos, label=lane.name, lane=lane)
+            for _ in range(min(lane.max_concurrency, len(self.items) - 1))
+        ]
+        self.work()
+        for task in helpers:
+            task.cancel()  # no-op unless still queued
+        with self._cond:
+            while self._settled < self._claimed:
+                self._cond.wait()
+        if self.error is not None:
+            raise self.error
+        return self.results
 
 
 class _JsonlJournal:
@@ -368,9 +428,13 @@ class ChunkStore:
 
     def read_chunk(self, digest: str) -> bytes:
         data, encoded = self.read_chunk_stored(digest)
-        if encoded:
-            return decode_chunk_file(data, self.load_dictionary, self._decode_cache)
-        return data
+        return self.decode(data) if encoded else data
+
+    def decode(self, data: bytes) -> bytes:
+        """Raw bytes of an encoded chunk file body.  Safe from several
+        threads at once (see :func:`~repro.ckpt.codec.decode_chunk_file`
+        on the shared codec cache)."""
+        return decode_chunk_file(data, self.load_dictionary, self._decode_cache)
 
     # -- trained dictionaries -------------------------------------------
     def store_dictionary(self, dictionary: bytes) -> str:
@@ -517,8 +581,6 @@ class DedupBackend(CheckpointBackend):
         compact_garbage_ratio: float = 4.0,
         codec: Optional[object] = None,
         parallel_workers: int = 0,
-        staging_pool: Optional[object] = None,
-        start_method: Optional[str] = None,
     ) -> None:
         super().__init__()
         if chunk_bytes < 1:
@@ -539,24 +601,18 @@ class DedupBackend(CheckpointBackend):
         self.codec: Optional[ChunkCodec] = (
             make_chunk_codec(codec) if isinstance(codec, str) else codec
         )
-        # Parallel chunk engine: >0 workers fan digest/encode/decode to
-        # per-core processes over shared memory.  Built lazily-ish here
-        # (the pool itself starts on first use); any failure downgrades
-        # to the in-process path with a warning, never an error.
-        self._parallel_workers = parallel_workers
-        self._start_method = start_method
-        self._shared_staging = staging_pool
-        self.engine = None
+        # Chunk codec fan-out: with N > 0, chunk digests and encodes
+        # (SAVE) and decodes (RESTORE) are shared between the calling
+        # thread and up to N helper tasks on the I/O scheduler — hashlib
+        # and zlib release the GIL, so threads scale.  Chunk files and
+        # journals are still written by the calling thread alone.
+        self.parallel_workers = parallel_workers
+        self._lanes: Dict[QoS, IOLane] = {}
         if parallel_workers > 0:
-            from .parallel import ParallelChunkEngine
-
-            self.engine = ParallelChunkEngine(
-                parallel_workers,
-                codec=self.codec,
-                staging=staging_pool,
-                dict_dir=self.chunks.dicts_dir,
-                start_method=start_method,
-            )
+            self._lanes = {
+                qos: IOLane(f"dedup-{qos.label}", parallel_workers)
+                for qos in (QoS.SAVE, QoS.RESTORE)
+            }
         self._manifests = _JsonlJournal(
             os.path.join(root, "manifests.jsonl"), "manifest", self._fault
         )
@@ -584,16 +640,6 @@ class DedupBackend(CheckpointBackend):
         for :meth:`_write` to reuse them (one shared SHA-256 sweep)."""
         return self.chunk_bytes
 
-    @property
-    def staging_pool(self):
-        """The engine's shared-memory staging pool (None without one).
-
-        The manager hands this to :class:`~repro.ckpt.async_writer.
-        AsyncWriteBackend` so the async staging copy lands directly in
-        shared memory — the same bytes the workers then hash/compress,
-        one copy total."""
-        return self.engine.staging if self.engine is not None else None
-
     def train_codec_dictionary(
         self, max_samples: int = 64, max_bytes: int = 16 * 1024
     ) -> Optional[str]:
@@ -601,9 +647,9 @@ class DedupBackend(CheckpointBackend):
 
         Samples up to ``max_samples`` live chunks (decoded), trains a
         raw-content dictionary, persists it content-addressed under
-        ``chunks/dicts/``, and rebuilds the codec (and engine) to use
-        it.  Returns the dictionary digest, or ``None`` when there is
-        no codec or the corpus is too thin to train from.  Previously
+        ``chunks/dicts/``, and rebuilds the codec to use it.  Returns
+        the dictionary digest, or ``None`` when there is no codec or
+        the corpus is too thin to train from.  Previously
         written chunks are untouched — their frames reference whatever
         dictionary (or none) they were written with.
         """
@@ -620,27 +666,19 @@ class DedupBackend(CheckpointBackend):
             return None
         dict_digest = self.chunks.store_dictionary(dictionary)
         self.codec = make_chunk_codec(self.codec.name, self.codec.level, dictionary)
-        if self.engine is not None:
-            from .parallel import ParallelChunkEngine
-
-            staging = self._shared_staging
-            owned_staging = None
-            if staging is None:
-                # Keep the existing pool alive across the engine swap —
-                # an async pipeline may already stage into it.
-                owned_staging = self.engine.staging
-                self.engine._owns_staging = False
-            self.engine.close()
-            self.engine = ParallelChunkEngine(
-                self._parallel_workers,
-                codec=self.codec,
-                staging=staging if staging is not None else owned_staging,
-                dict_dir=self.chunks.dicts_dir,
-                start_method=self._start_method,
-            )
-            if owned_staging is not None:
-                self.engine._owns_staging = True
         return dict_digest
+
+    def _map(self, qos: QoS, fn: Callable, items: Sequence) -> list:
+        """``[fn(item) for item in items]``, fanned out on ``qos``'s lane
+        when this store has parallel workers and there are at least two
+        items."""
+        lane = self._lanes.get(qos)
+        if lane is None or len(items) < 2:
+            return [fn(item) for item in items]
+        return _FanOut(fn, items).run(lane, qos)
+
+    def _map_save(self, fn: Callable, items: Sequence) -> list:
+        return self._map(QoS.SAVE, fn, items)
 
     def _novel_indices(self, digests: List[str]) -> List[int]:
         """First-occurrence indices of digests not yet on disk."""
@@ -655,68 +693,47 @@ class DedupBackend(CheckpointBackend):
         return novel
 
     def _encode_novel(
-        self, payload: PayloadFrames, digests: List[str]
+        self, chunks: List[Sequence], digests: List[str], meters
     ) -> Dict[int, Optional[bytes]]:
-        """Framed encoded bodies for the novel chunks of ``payload``.
+        """Framed encoded bodies for the novel chunks of a payload.
 
-        Prefers the worker pool (compression fans out, byte counts come
-        back over the result queue); falls back to streaming the codec
-        in-process.  Only chunks that will actually hit disk are
-        encoded — dedup hits and repeated chunks never cost a
-        compression pass, which is how the "≤1 compression pass per
-        persisted byte" invariant stays an inequality.
+        Only chunks that will actually hit disk are encoded — dedup hits
+        and repeated chunks never cost a compression pass, which is how
+        the "≤1 compression pass per persisted byte" invariant stays an
+        inequality.  ``None`` marks an incompressible chunk (stored
+        raw).
         """
-        encoded: Dict[int, Optional[bytes]] = {}
         if self.codec is None:
-            return encoded
+            return {}
         novel = self._novel_indices(digests)
-        if not novel:
-            return encoded
-        if self.engine is not None:
-            from_engine = self.engine.encode_chunks(payload, self.chunk_bytes, novel)
-            if from_engine is not None:
-                return from_engine
-        slices = list(payload.chunk_slices(self.chunk_bytes))
-        for index in novel:
-            parts = slices[index]
-            raw_len = sum(len(part) for part in parts)
-            body = encode_chunk_file(self.codec, parts)
-            encoded[index] = body
-            if payload.meters is not None:
-                payload.meters.count_compressed(
+        codec = self.codec
+        bodies = self._map_save(
+            lambda index: encode_chunk_file(codec, chunks[index]), novel
+        )
+        if meters is not None:
+            for index, body in zip(novel, bodies):
+                raw_len = sum(len(part) for part in chunks[index])
+                meters.count_compressed(
                     raw_len, len(body) if body is not None else raw_len
                 )
-        return encoded
+        return dict(zip(novel, bodies))
 
     def _write(self, key: str, payload, stamp: int, node) -> None:
+        # Single-hash-pass path: a rope's digests come from its cache
+        # when the manager's delta-save check already computed them, and
+        # from one (possibly fanned-out) sweep otherwise; chunk data is
+        # written as zero-copy frame slices.
         if isinstance(payload, PayloadFrames):
-            # Single-hash-pass path: digests come from the rope's cache
-            # when the manager's delta-save check already computed them,
-            # from the worker pool when an engine is attached, and from
-            # the rope's own single sweep otherwise; chunk data is
-            # written as zero-copy frame slices either way.
-            try:
-                if self.engine is not None:
-                    digests = self.engine.chunk_digests(payload, self.chunk_bytes)
-                else:
-                    digests = payload.chunk_digests(self.chunk_bytes)
-                encoded = self._encode_novel(payload, digests)
-                for index, (digest, parts) in enumerate(
-                    zip(digests, payload.chunk_slices(self.chunk_bytes))
-                ):
-                    self.chunks.write_chunk(digest, parts, encoded=encoded.get(index))
-            finally:
-                if self.engine is not None:
-                    self.engine.finish(payload)
+            digests = payload.chunk_digests(self.chunk_bytes, self._map_save)
+            chunks = list(payload.chunk_slices(self.chunk_bytes))
+            meters = payload.meters
         else:
-            chunks = chunk_payload(payload, self.chunk_bytes)
-            digests = [chunk_digest(chunk) for chunk in chunks]
-            novel = set(self._novel_indices(digests))
-            for index, (digest, chunk) in enumerate(zip(digests, chunks)):
-                body = None
-                if self.codec is not None and index in novel:
-                    body = encode_chunk_file(self.codec, [chunk])
-                self.chunks.write_chunk(digest, chunk, encoded=body)
+            chunks = [[chunk] for chunk in chunk_payload(payload, self.chunk_bytes)]
+            digests = self._map_save(lambda parts: chunk_digest(parts[0]), chunks)
+            meters = None
+        encoded = self._encode_novel(chunks, digests, meters)
+        for index, (digest, parts) in enumerate(zip(digests, chunks)):
+            self.chunks.write_chunk(digest, parts, encoded=encoded.get(index))
         inc = Counter(digests)
         old = self._index.get(key)
         record = {
@@ -814,32 +831,16 @@ class DedupBackend(CheckpointBackend):
         return payload
 
     def _read_chunks(self, digests: Sequence[str]) -> List[bytes]:
-        """Chunk bodies in manifest order, decompressing as needed.
-
-        With an engine attached, encoded chunks are decompressed by the
-        worker pool (restore-side fan-out); otherwise — or if the pool
-        degrades mid-read — each chunk decodes in-process.
-        """
-        if self.engine is None or not self.engine.enabled:
-            return [self.chunks.read_chunk(digest) for digest in digests]
+        """Chunk bodies in manifest order, decompressing as needed (the
+        decodes fan out on the RESTORE lane when there are several)."""
         stored = [self.chunks.read_chunk_stored(digest) for digest in digests]
-        blobs = [data for data, is_encoded in stored if is_encoded]
-        decoded = self.engine.decode_chunks(blobs) if blobs else []
-        if decoded is None:  # pool degraded: decode in-process
-            return [
-                decode_chunk_file(data, self.chunks.load_dictionary,
-                                  self.chunks._decode_cache)
-                if is_encoded else data
-                for data, is_encoded in stored
-            ]
-        out: List[bytes] = []
-        cursor = 0
-        for data, is_encoded in stored:
-            if is_encoded:
-                out.append(decoded[cursor])
-                cursor += 1
-            else:
-                out.append(data)
+        out = [data for data, _ in stored]
+        encoded = [index for index, (_, is_encoded) in enumerate(stored) if is_encoded]
+        decoded = self._map(
+            QoS.RESTORE, lambda index: self.chunks.decode(out[index]), encoded
+        )
+        for index, raw in zip(encoded, decoded):
+            out[index] = raw
         return out
 
     # -- metadata -------------------------------------------------------
@@ -904,12 +905,6 @@ class DedupBackend(CheckpointBackend):
             raise
         self._finish_batch()
 
-    def close(self) -> None:
-        """Shut down the parallel engine (workers, shared memory)."""
-        if self.engine is not None:
-            self.engine.close()
-        super().close()
-
     # -- maintenance ----------------------------------------------------
     def gc(self) -> GCReport:
         """Reclaim zero-ref and orphaned chunks; compact both journals.
@@ -921,8 +916,6 @@ class DedupBackend(CheckpointBackend):
         semantics; a caller already on a scheduler worker runs it inline
         via worker helping, so nesting cannot deadlock the pool).
         """
-        from ..io.scheduler import QoS, get_scheduler
-
         def run() -> GCReport:
             with _span("dedup-gc"):
                 report = self.chunks.gc()

@@ -42,7 +42,7 @@ import hashlib
 import struct
 import threading
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Union
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -201,10 +201,10 @@ class PipelineMeters:
         ``bytes_compressed`` counts raw bytes fed through the chunk
         codec (the "≤1 compression pass per persisted byte" invariant
         meters this against ``bytes_serialized``); the ``_out`` counter
-        is what actually hit the wire, so ratio = in/out.  Worker
-        processes report their per-task counts back over the result
-        queue and the engine folds them in here — the invariant survives
-        the process boundary because it is metered, not assumed.
+        is what actually hit the wire, so ratio = in/out.  The dedup
+        store records each novel chunk here on the calling thread, after
+        its codec fan-out returns, so the invariant is metered, not
+        assumed.
         """
         self._bytes_compressed.inc(raw_nbytes)
         self._bytes_compressed_out.inc(encoded_nbytes)
@@ -298,7 +298,7 @@ class PayloadFrames:
     ``len(payload)`` works unchanged for ``bytes`` and frames alike.
     """
 
-    __slots__ = ("frames", "nbytes", "meters", "region", "_digest_cache")
+    __slots__ = ("frames", "nbytes", "meters", "_digest_cache")
 
     def __init__(
         self,
@@ -322,11 +322,6 @@ class PayloadFrames:
         self.frames = tuple(normalized)
         self.nbytes = nbytes
         self.meters = meters
-        # Set when the rope's single frame lives inside a shared-memory
-        # staging arena (see ``repro.ckpt.parallel.SharedStagingPool``):
-        # lets the parallel engine hand workers an (arena, offset, len)
-        # address instead of pickling payload bytes.
-        self.region = None
         # chunk size -> chunk digests, computed at most once per size.
         self._digest_cache: Dict[int, List[str]] = (
             _digest_cache if _digest_cache is not None else {}
@@ -353,7 +348,11 @@ class PayloadFrames:
             self.meters.count_copied(len(data))
         return data
 
-    def chunk_digests(self, chunk_bytes: int = DEFAULT_CHUNK_BYTES) -> List[str]:
+    def chunk_digests(
+        self,
+        chunk_bytes: int = DEFAULT_CHUNK_BYTES,
+        map_chunks: Optional[Callable[[Callable, list], list]] = None,
+    ) -> List[str]:
         """SHA-256 hex digest per fixed-size chunk, in one sweep.
 
         Matches ``[chunk_digest(c) for c in chunk_payload(payload)]``
@@ -362,6 +361,11 @@ class PayloadFrames:
         :meth:`snapshot_into`, so a payload is hashed **once** no matter
         how many layers (delta-save check, dedup chunking) need the
         digests.
+
+        ``map_chunks(fn, chunks)`` replaces the serial
+        ``[fn(c) for c in chunks]`` — the dedup store passes its
+        thread fan-out here (``hashlib`` releases the GIL on large
+        buffers).  Either way the sweep counts as one hash pass.
         """
         cached = self._digest_cache.get(chunk_bytes)
         if cached is not None:
@@ -369,30 +373,15 @@ class PayloadFrames:
         # One sweep over the same windows the write path uses — sharing
         # :meth:`chunk_slices` keeps digest and chunk-data boundaries
         # aligned by construction.
-        digests: List[str] = []
-        for parts in self.chunk_slices(chunk_bytes):
-            digest = hashlib.sha256()
-            for part in parts:
-                digest.update(part)
-            digests.append(digest.hexdigest())
+        chunks = list(self.chunk_slices(chunk_bytes))
+        if map_chunks is None:
+            digests = [_digest_parts(parts) for parts in chunks]
+        else:
+            digests = map_chunks(_digest_parts, chunks)
         if self.meters is not None:
             self.meters.count_hashed(self.nbytes)
         self._digest_cache[chunk_bytes] = digests
         return digests
-
-    def peek_digests(self, chunk_bytes: int = DEFAULT_CHUNK_BYTES) -> Optional[List[str]]:
-        """Return cached chunk digests without computing (None if absent)."""
-        return self._digest_cache.get(chunk_bytes)
-
-    def seed_digests(self, chunk_bytes: int, digests: List[str]) -> None:
-        """Install externally computed chunk digests into the cache.
-
-        The parallel save engine computes digests in worker processes
-        and seeds them here so every downstream consumer (delta-save
-        check, dedup chunk addressing) still sees a single hash pass.
-        The caller is responsible for metering the hash bytes it spent.
-        """
-        self._digest_cache[chunk_bytes] = list(digests)
 
     def entry_digest(self, chunk_bytes: int = DEFAULT_CHUNK_BYTES) -> str:
         """Content digest derived from the chunk digests.
@@ -447,13 +436,10 @@ class PayloadFrames:
         before staging are never recomputed downstream.
 
         ``buffer`` is anything exporting the buffer protocol (the
-        classic pooled ``bytearray``) or a shared-memory slice exposing
-        ``.view``/``.region`` (``SharedStagingPool.acquire``); in the
-        latter case the returned rope carries the slice's region so
-        downstream layers can address the staged bytes cross-process.
+        pooled ``bytearray`` of :class:`~repro.ckpt.async_writer.
+        StagingPool`).
         """
-        region = getattr(buffer, "region", None)
-        view = buffer.view if hasattr(buffer, "view") else memoryview(buffer)
+        view = memoryview(buffer)
         if len(view) < self.nbytes:
             raise ValueError(
                 f"staging buffer too small: {len(view)} < {self.nbytes}"
@@ -465,13 +451,19 @@ class PayloadFrames:
             offset = end
         if self.meters is not None:
             self.meters.count_copied(self.nbytes)
-        staged = PayloadFrames(
+        return PayloadFrames(
             [view[: self.nbytes].toreadonly()],
             meters=self.meters,
             _digest_cache=self._digest_cache,
         )
-        staged.region = region
-        return staged
+
+
+def _digest_parts(parts: Sequence[Frame]) -> str:
+    """SHA-256 hex digest of one chunk given as buffer parts."""
+    digest = hashlib.sha256()
+    for part in parts:
+        digest.update(part)
+    return digest.hexdigest()
 
 
 def write_payload(handle, payload: Union[bytes, PayloadFrames]) -> None:

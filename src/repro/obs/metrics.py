@@ -2,7 +2,7 @@
 
 One registry replaces the pile of ad-hoc counters that grew across the
 stack (``PipelineMeters`` ints, ``TieredBackend`` privates, codec
-stats, worker-pool heartbeat bookkeeping).  Design points:
+stats, scheduler queue bookkeeping).  Design points:
 
 - **Lock striping.**  The registry never takes one global lock on the
   hot path: each metric family is assigned one of ``_STRIPE_COUNT``

@@ -24,13 +24,7 @@ cannot mask ordering bugs.
 from __future__ import annotations
 
 import glob
-import multiprocessing
 import os
-import signal
-import subprocess
-import sys
-import threading
-import time
 
 import numpy as np
 import pytest
@@ -626,145 +620,16 @@ class TestAsyncPipelineCrash:
         store.close()
 
 
-class TestParallelEngineDegradation:
-    """The multi-process save engine must never be load-bearing.
-
-    Three failure families — pool cannot spawn, workers killed
-    mid-stream, the shared-memory arena poisoned — and one contract
-    for all of them: the put degrades to the in-process path with a
-    ``RuntimeWarning``, the data lands bit-exact, and ``fsck`` stays
-    clean.  A broken accelerator may cost speed, never state.
-    """
-
-    def open(self, root, **kwargs):
-        kwargs.setdefault("chunk_bytes", 64)
-        kwargs.setdefault("codec", "zlib")
-        kwargs.setdefault("parallel_workers", 2)
-        return DedupBackend(str(root), **kwargs)
-
-    def assert_degraded_but_intact(self, store, expected: dict) -> None:
-        assert store.engine.enabled is False
-        assert store.engine.fallback_reason
-        assert_consistent(store, expected)
-        report = store.fsck()
-        assert report.ok, report.errors
-        assert report.encoded_chunks > 0  # the codec still ran in-process
-
-    def test_spawn_failure_falls_back_in_process(self, tmp_path, monkeypatch):
-        from repro.ckpt import ChunkWorkerPool
-
-        def refuse(self):
-            raise OSError("fork: resource temporarily unavailable")
-
-        monkeypatch.setattr(ChunkWorkerPool, "_spawn_one", refuse)
-        store = self.open(tmp_path)
-        try:
-            with pytest.warns(RuntimeWarning, match="parallel save engine disabled"):
-                store.put("k", entry(5.0, size=256), stamp=1)
-            self.assert_degraded_but_intact(
-                store, {"k": (np.full(256, 5.0), 1)}
-            )
-        finally:
-            store.close()
-
-    def test_workers_killed_mid_stream_fall_back(self, tmp_path):
-        store = self.open(tmp_path)
-        try:
-            store.put("warm", entry(1.0, size=256), stamp=1)  # pool is live
-            assert store.engine.pool.alive() == 2
-            # kill *every* worker: a lone survivor can legitimately
-            # drain the whole next batch, which is resilience, not
-            # degradation — this test wants the degradation path
-            for proc in store.engine.pool._procs:
-                os.kill(proc.pid, signal.SIGKILL)
-            for proc in store.engine.pool._procs:
-                proc.join(timeout=10)
-            with pytest.warns(RuntimeWarning, match="parallel save engine disabled"):
-                store.put("after", entry(2.0, size=256), stamp=2)
-            self.assert_degraded_but_intact(
-                store,
-                {"warm": (np.full(256, 1.0), 1), "after": (np.full(256, 2.0), 2)},
-            )
-        finally:
-            store.close()
-
-    def test_wedged_pool_deadline_falls_back(self, tmp_path, monkeypatch):
-        """Workers alive but not making progress (SIGSTOPped here): the
-        batch deadline must declare the pool wedged — WorkerPoolError —
-        and the engine must finish the put in-process.  Without the
-        deadline this put would block forever with every worker
-        'healthy'."""
-        from repro.ckpt import parallel as parallel_mod
-
-        monkeypatch.setattr(parallel_mod, "_DEADLINE_SECONDS", 2.0)
-        store = self.open(tmp_path)
-        try:
-            store.put("warm", entry(1.0, size=256), stamp=1)  # pool is live
-            procs = list(store.engine.pool._procs)
-            for proc in procs:
-                os.kill(proc.pid, signal.SIGSTOP)
-            # A stopped worker never joins; SIGKILL them once the
-            # deadline has fired so _disable's pool teardown is quick.
-            def unstick() -> None:
-                time.sleep(4.0)
-                for proc in procs:
-                    if proc.is_alive():
-                        os.kill(proc.pid, signal.SIGKILL)
-
-            unsticker = threading.Thread(target=unstick, daemon=True)
-            unsticker.start()
-            with pytest.warns(RuntimeWarning, match="parallel save engine disabled"):
-                store.put("after", entry(2.0, size=256), stamp=2)
-            unsticker.join(timeout=30)
-            self.assert_degraded_but_intact(
-                store,
-                {"warm": (np.full(256, 1.0), 1), "after": (np.full(256, 2.0), 2)},
-            )
-        finally:
-            store.close()
-
-    def test_poisoned_shared_arena_falls_back(self, tmp_path):
-        store = self.open(tmp_path)
-        try:
-            store.put("warm", entry(1.0, size=256), stamp=1)
-            # poison the arena: close + unlink the segment under the
-            # engine (as an external cleaner like a stale-shm sweeper
-            # would); the next staging attempt must not wedge or corrupt
-            store.engine.staging.close()
-            with pytest.warns(RuntimeWarning, match="parallel save engine disabled"):
-                store.put("after", entry(2.0, size=256), stamp=2)
-            self.assert_degraded_but_intact(
-                store,
-                {"warm": (np.full(256, 1.0), 1), "after": (np.full(256, 2.0), 2)},
-            )
-        finally:
-            store.close()
-
-    def test_degraded_store_reads_back_everywhere(self, tmp_path):
-        # a store written while degraded is indistinguishable on disk:
-        # a plain single-process DedupBackend reopens and verifies it
-        store = self.open(tmp_path)
-        store.engine.staging.close()
-        with pytest.warns(RuntimeWarning):
-            store.put("k", entry(7.0, size=256), stamp=3)
-        store.close()
-        plain = DedupBackend(str(tmp_path), chunk_bytes=64)
-        assert np.array_equal(plain.get("k")["x"], np.full(256, 7.0))
-        report = plain.fsck()
-        assert report.ok, report.errors
-
-
 class TestCompressedDedupCrash(TestDedupEngineCrash):
-    """The full crash battery again, with the chunk codec and worker
-    pool enabled: compressed chunk files must honor the same
+    """The full crash battery again, with the chunk codec and its thread
+    fan-out enabled: compressed chunk files must honor the same
     ordering/fsck contract as raw ones, and a crash can never leave a
     half-framed chunk readable."""
 
     @pytest.fixture(autouse=True)
     def _reap_stores(self):
         # "Crashed" store instances are abandoned mid-test by design;
-        # with workers enabled each holds a process pool + shm arena,
-        # so reap them all at teardown (close is idempotent).
+        # close them all at teardown (close is idempotent).
         self._opened = []
         yield
         for store in self._opened:
@@ -789,9 +654,8 @@ class TestCompressedDedupCrash(TestDedupEngineCrash):
         return reopened
 
     def test_fsck_clean_after_full_crash_battery(self, tmp_path):
-        """Battery sweep with compression: abandoned ("crashed") store
-        instances must also have their worker pools reaped so rounds
-        don't accumulate orphan processes."""
+        """Battery sweep with compression: every round crashes a put,
+        reopens, and must recover fsck-clean."""
         expected = {}
         root = tmp_path / "battery"
         store = self.open(root)
@@ -807,7 +671,7 @@ class TestCompressedDedupCrash(TestDedupEngineCrash):
                 crash_at(store, point)
                 with pytest.raises(CrashInjected):
                     store.put(f"dead{round_index}", entry(-1.0, size=256), stamp=99)
-                store.close()  # the "dead process": reap workers + shm
+                store.close()  # the "dead process"
                 reopened = self.open(root)
                 dead = f"dead{round_index}"
                 if reopened.has(dead):
@@ -992,136 +856,3 @@ class TestTieredCrash:
                 assert np.array_equal(reopened.get(dead)["x"], np.full(4, -1.0))
                 reopened.delete(dead)
             store = self.assert_recovers_clean(root, expected)
-
-
-def _sigterm_masking_worker(ready) -> None:
-    """A worker that masks SIGTERM — the pathological teardown case."""
-    signal.signal(signal.SIGTERM, signal.SIG_IGN)
-    ready.set()
-    while True:  # pragma: no cover - killed externally
-        time.sleep(60)
-
-
-class TestParallelEngineTeardown:
-    """The leak/shutdown seams of the multi-process save engine.
-
-    Three regressions pinned here: an unclosed ``SharedStagingPool``
-    must not orphan ``/dev/shm`` segments at interpreter exit (atexit
-    sweep) or even on a hard ``os._exit`` (resource-tracker backstop);
-    a worker that masks SIGTERM cannot wedge teardown past the bounded
-    terminate → join → kill → join escalation; and the collector's
-    batch deadline fires even while stale results keep its queue busy.
-    """
-
-    _CHILD_SCRIPT = (
-        "from repro.ckpt.parallel import SharedStagingPool\n"
-        "pool = SharedStagingPool(arena_bytes=8192)\n"
-        "buf = pool.acquire(256)\n"
-        "print(pool.segment_name, flush=True)\n"
-    )
-
-    def _run_child(self, extra: str = "") -> "subprocess.CompletedProcess":
-        src = os.path.join(
-            os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"
-        )
-        env = dict(os.environ)
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        return subprocess.run(
-            [sys.executable, "-c", self._CHILD_SCRIPT + extra],
-            capture_output=True,
-            text=True,
-            timeout=60,
-            env=env,
-        )
-
-    @staticmethod
-    def _assert_segment_unlinked(name: str, deadline_seconds: float) -> None:
-        path = os.path.join("/dev/shm", name)
-        deadline = time.monotonic() + deadline_seconds
-        while os.path.exists(path):
-            if time.monotonic() > deadline:
-                os.unlink(path)  # don't leak it into later tests
-                pytest.fail(f"orphaned shared-memory segment: {path}")
-            time.sleep(0.05)
-
-    def test_interpreter_exit_without_close_sweeps_segments(self):
-        """A pool abandoned at normal interpreter exit: the atexit sweep
-        unlinks its arena *itself* — the resource tracker never has to
-        salvage it, so there is no 'leaked shared_memory' warning."""
-        proc = self._run_child()
-        assert proc.returncode == 0, proc.stderr
-        name = proc.stdout.strip()
-        assert name
-        if not os.path.exists("/dev/shm"):  # pragma: no cover - exotic CI
-            pytest.skip("no /dev/shm on this platform")
-        self._assert_segment_unlinked(name, deadline_seconds=5.0)
-        assert "leaked shared_memory" not in proc.stderr
-
-    def test_hard_exit_leaves_no_orphan_segments(self):
-        """``os._exit`` skips atexit entirely; the resource tracker is
-        the backstop and must still unlink the segment once the owner
-        dies."""
-        proc = self._run_child("import os; os._exit(1)\n")
-        assert proc.returncode == 1
-        name = proc.stdout.strip()
-        assert name
-        if not os.path.exists("/dev/shm"):  # pragma: no cover - exotic CI
-            pytest.skip("no /dev/shm on this platform")
-        self._assert_segment_unlinked(name, deadline_seconds=10.0)
-
-    def test_sigterm_masking_worker_teardown_bounded(self):
-        """_reap_processes — the single teardown primitive behind both
-        ``ChunkWorkerPool.close`` and ``_abort`` — must escalate past a
-        SIGTERM-masking worker to SIGKILL within ~2 grace periods."""
-        from repro.ckpt.parallel import _reap_processes
-
-        methods = multiprocessing.get_all_start_methods()
-        ctx = multiprocessing.get_context(
-            "fork" if "fork" in methods else "spawn"
-        )
-        ready = ctx.Event()
-        proc = ctx.Process(
-            target=_sigterm_masking_worker, args=(ready,), daemon=True
-        )
-        proc.start()
-        try:
-            assert ready.wait(timeout=30)
-            started = time.monotonic()
-            _reap_processes([proc], grace_seconds=1.0)
-            elapsed = time.monotonic() - started
-            assert not proc.is_alive()
-            assert elapsed < 10.0
-        finally:
-            if proc.is_alive():  # pragma: no cover - escalation failed
-                proc.kill()
-            proc.join(timeout=10)
-
-    def test_collect_deadline_fires_despite_result_stream(self, monkeypatch):
-        """The wedge the deadline exists for: workers alive, the result
-        queue never empty (stale results for other batches), the
-        awaited task never arriving.  The deadline check runs at the
-        top of *every* iteration — checking only in the Empty branch
-        would spin here forever."""
-        from repro.ckpt import parallel as parallel_mod
-
-        monkeypatch.setattr(parallel_mod, "_DEADLINE_SECONDS", 1.0)
-        pool = parallel_mod.ChunkWorkerPool(1)
-        pool.start()
-        stop = threading.Event()
-
-        def feed_stale_results() -> None:
-            while not stop.is_set():
-                pool._results.put(("digest", -1, [], 0, 0.0))
-                time.sleep(0.01)
-
-        feeder = threading.Thread(target=feed_stale_results, daemon=True)
-        feeder.start()
-        try:
-            with pytest.raises(
-                parallel_mod.WorkerPoolError, match="deadline"
-            ):
-                pool.collect([987654])
-        finally:
-            stop.set()
-            feeder.join(timeout=10)
-            pool.close()
