@@ -157,7 +157,7 @@ def run_manager_mode(root: str, async_writes: bool) -> dict:
     model, optimizer = tiny_model_and_optimizer()
     store = ThrottledShardedStore(root)
     if async_writes:
-        store = AsyncWriteBackend(store, max_pending=1024)
+        store = AsyncWriteBackend(store)
     config = MoCConfig(
         pec=PECConfig(k_snapshot=2, k_persist=1),
         two_level=TwoLevelConfig(checkpoint_interval=INTERVAL),

@@ -396,7 +396,7 @@ def _build_stack(
         tiered.fault_hook = injector
         if backend == "tiered":
             return _Stack(store=tiered, base=tiered, injector=injector)
-        wrapper = AsyncWriteBackend(tiered, max_pending=8, arena_bytes=1 << 20)
+        wrapper = AsyncWriteBackend(tiered)
         return _Stack(store=wrapper, base=tiered, injector=injector)
     raise ValueError(f"unknown backend {backend!r}")
 

@@ -10,14 +10,14 @@ persist overlapped with compute).
 Semantics
 ---------
 * ``put`` serializes in the caller's thread (the "snapshot": after it
-  returns the caller may freely mutate the arrays) and stages the
-  payload on a bounded queue.  Zero-copy frame ropes are snapshotted
-  into a buffer from the :class:`StagingPool` — **one copy**, into
-  memory that is reused across checkpoints instead of freshly allocated
-  ``bytes`` per put.  When the queue is full (or the pool's arena is
-  exhausted) the caller blocks until the worker frees a slot — the
-  backpressure that bounds staging memory, exactly like the paper's
-  buffer pool.
+  returns the caller may freely mutate the arrays).  Zero-copy frame
+  ropes are copied into a staging buffer — **one copy**, into memory
+  that is reused across checkpoints instead of freshly allocated per
+  put — and the staged item is submitted with its byte count.
+  ``IOScheduler.submit(nbytes=)`` is the only place a save waits for
+  memory: while the scheduler's shared byte budget is full, the caller
+  blocks until the drain frees bytes — the backpressure that bounds
+  staging memory, exactly like the paper's buffer pool.
 * Writes drain **in submission order**, so the inner store's state is
   always a prefix of the accepted puts.  Meta/commit entries written
   last therefore land last.
@@ -32,7 +32,7 @@ Semantics
   writes rather than executing them, preserving the prefix property: a
   later commit entry can never become durable over a hole left by the
   failure.  Writing resumes once the error has been raised.  Discarded
-  or not, staged buffers always return to the pool.
+  or not, staged buffers always return for reuse.
 """
 
 from __future__ import annotations
@@ -45,15 +45,10 @@ from typing import Dict, List, NamedTuple, Optional, Sequence
 import numpy as np
 
 from ..io.scheduler import IOScheduler, IOTask, QoS, get_scheduler
-from ..obs import trace as _trace
 from ..obs.metrics import get_registry
 from ..obs.trace import span as _span, trace_counter as _trace_counter
 from .backend import CheckpointBackend
 from .serializer import PayloadFrames
-
-#: Default staging arena: comfortably double-buffers two checkpoints of
-#: every model this repo runs while still bounding a runaway producer.
-DEFAULT_ARENA_BYTES = 64 * 1024 * 1024
 
 # Pipeline-health instruments on the process-wide registry.  The queue
 # depth gauge is sampled at every enqueue/dequeue (plus a Perfetto "C"
@@ -71,160 +66,60 @@ _FLUSH_STALLS = get_registry().counter(
 _FLUSH_STALL_SECONDS = get_registry().counter(
     "moc_async_flush_stall_seconds_total", "Seconds spent waiting at flush barriers"
 )
-_STAGING_WAITS = get_registry().counter(
-    "moc_staging_exhaustion_waits_total",
-    "Staging-pool acquires that blocked on arena exhaustion",
-)
-_STAGING_WAIT_SECONDS = get_registry().counter(
-    "moc_staging_wait_seconds_total", "Seconds spent blocked in staging admission"
-)
 
 
 class AsyncWriteError(RuntimeError):
     """A deferred write failed; raised at the next put/flush boundary."""
 
 
-class StagingPool:
-    """A bounded arena of reusable staging buffers.
+class _StagingBuffers:
+    """Reusable staging buffers: a non-blocking best-fit free list.
 
-    ``acquire(nbytes)`` returns a ``bytearray`` of at least ``nbytes``
-    — preferring an idle pooled buffer (best fit) over allocating, and
-    **blocking** when the arena budget is exhausted until ``release``
-    returns capacity (the byte-granular half of the pipeline's
-    backpressure; the entry semaphore is the count-granular half).
-
-    Liveness rule: a payload larger than the whole arena may allocate
-    an oversize buffer, but only while nothing else is in flight (so
-    the bound degrades to "one oversize payload at a time" instead of
-    deadlocking); oversize buffers are dropped on release rather than
-    pooled.  Steady state therefore allocates nothing: the same arena
-    bytes stage every checkpoint, which is the allocation-rate fix this
-    pool exists for.
+    Admission is the scheduler's job; this only recycles memory, because
+    copying frames into a reused buffer is several times faster than
+    into a fresh allocation.  ``limit`` (the scheduler's byte budget,
+    ``None`` for unbounded) caps what the pool holds: idle buffers are
+    evicted, oldest first, while idle plus lent-out bytes exceed it, and
+    a buffer larger than the limit is never kept.
     """
 
-    def __init__(self, arena_bytes: int = DEFAULT_ARENA_BYTES) -> None:
-        if arena_bytes < 1:
-            raise ValueError("arena_bytes must be >= 1")
-        self.arena_bytes = arena_bytes
-        self._cond = threading.Condition()
+    def __init__(self, limit: Optional[int]) -> None:
+        self.limit = limit
+        self._lock = threading.Lock()
         self._free: List[bytearray] = []
-        self._allocated = 0  # bytes across free + in-use buffers
-        self._in_use = 0  # buffers currently acquired
-        # FIFO admission: acquires are granted strictly in arrival
-        # order.  Without this, a stream of small acquires that each fit
-        # the arena can starve a large (or oversize) acquire forever —
-        # capacity frees, a newcomer grabs it first, repeat.  Tickets
-        # are monotonically increasing; only the queue head may claim.
-        self._waiters: "deque[int]" = deque()
-        self._next_ticket = 0
-        # Meters (read under the condition lock or after quiescence).
+        self.idle_bytes = 0
+        self.lent_bytes = 0
         self.buffers_allocated = 0
         self.buffers_reused = 0
-        self.exhaustion_waits = 0
 
-    def _try_acquire(self, nbytes: int):
-        """Attempt one allocation under the lock; ``None`` if starved.
-
-        The allocation policy (best-fit reuse, evict-then-allocate,
-        oversize liveness rule), shared by :meth:`acquire` and
-        :meth:`try_acquire`.
-        """
-        best = None
-        for index, buf in enumerate(self._free):
-            if len(buf) >= nbytes and (
-                best is None or len(buf) < len(self._free[best])
-            ):
-                best = index
-        if best is not None:
-            buf = self._free.pop(best)
-            self._in_use += 1
-            self.buffers_reused += 1
-            return buf
-        # No reusable buffer: allocate if the budget allows, evicting
-        # idle buffers first so the arena bound holds.
-        while self._free and self._allocated + nbytes > self.arena_bytes:
-            dropped = self._free.pop()
-            self._allocated -= len(dropped)
-        if (
-            self._allocated + nbytes <= self.arena_bytes
-            or self._in_use == 0  # oversize liveness rule
-        ):
-            self._allocated += nbytes
-            self._in_use += 1
+    def acquire(self, nbytes: int) -> bytearray:
+        """The smallest idle buffer of at least ``nbytes``, else a new one."""
+        with self._lock:
+            fits = [i for i, buf in enumerate(self._free) if len(buf) >= nbytes]
+            if fits:
+                buffer = self._free.pop(min(fits, key=lambda i: len(self._free[i])))
+                self.idle_bytes -= len(buffer)
+                self.lent_bytes += len(buffer)
+                self.buffers_reused += 1
+                return buffer
+            self.lent_bytes += nbytes
             self.buffers_allocated += 1
-            return bytearray(nbytes)
-        return None
+            self._trim()
+        return bytearray(nbytes)
 
-    def acquire(self, nbytes: int):
-        """Return a buffer of capacity >= ``nbytes`` (blocking, FIFO)."""
-        with self._cond:
-            ticket = self._next_ticket
-            self._next_ticket += 1
-            self._waiters.append(ticket)
-            wait_started: Optional[float] = None
-            try:
-                while True:
-                    if self._waiters[0] == ticket:
-                        buffer = self._try_acquire(nbytes)
-                        if buffer is not None:
-                            return buffer
-                    if wait_started is None:
-                        self.exhaustion_waits += 1
-                        _STAGING_WAITS.inc()
-                        wait_started = time.perf_counter()
-                    self._cond.wait()
-            finally:
-                self._waiters.remove(ticket)
-                # Wake the next ticket in line (a successful head
-                # acquire may have left capacity for it).
-                self._cond.notify_all()
-                if wait_started is not None:
-                    waited_seconds = time.perf_counter() - wait_started
-                    _STAGING_WAIT_SECONDS.inc(waited_seconds)
-                    if _trace.tracing():
-                        end_us = _trace.now_us()
-                        _trace.merge_spans(
-                            [
-                                _trace.complete_span_dict(
-                                    "staging-wait",
-                                    end_us - int(waited_seconds * 1e6),
-                                    end_us,
-                                    {"nbytes": nbytes},
-                                )
-                            ]
-                        )
-
-    def try_acquire(self, nbytes: int):
-        """Non-blocking acquire: a buffer, or ``None`` if it would wait.
-
-        Respects FIFO admission — returns ``None`` while earlier
-        acquires are queued, even if capacity happens to be free (it is
-        theirs).
-        """
-        with self._cond:
-            if self._waiters:
-                return None
-            return self._try_acquire(nbytes)
-
-    def release(self, buffer) -> None:
-        """Return a buffer to the pool (wakes blocked acquirers)."""
-        with self._cond:
-            self._in_use -= 1
-            if len(buffer) <= self.arena_bytes:
+    def release(self, buffer: bytearray) -> None:
+        with self._lock:
+            self.lent_bytes -= len(buffer)
+            if self.limit is None or len(buffer) <= self.limit:
                 self._free.append(buffer)
-            else:
-                self._allocated -= len(buffer)
-            self._cond.notify_all()
+                self.idle_bytes += len(buffer)
+                self._trim()
 
-    @property
-    def idle_buffers(self) -> int:
-        with self._cond:
-            return len(self._free)
-
-    @property
-    def arena_in_use(self) -> int:
-        with self._cond:
-            return self._allocated - sum(len(buf) for buf in self._free)
+    def _trim(self) -> None:
+        if self.limit is None:
+            return
+        while self._free and self.idle_bytes + self.lent_bytes > self.limit:
+            self.idle_bytes -= len(self._free.pop(0))
 
 
 class _Staged(NamedTuple):
@@ -252,41 +147,24 @@ class AsyncWriteBackend(CheckpointBackend):
     ----------
     inner:
         The backend that actually stores entries.
-    max_pending:
-        Queue bound, in entries.  The default comfortably double-buffers
-        two checkpoints' worth of entries for the models we run; lower it
-        to model tighter staging memory (more backpressure stalls).
-    arena_bytes:
-        Byte budget of the :class:`StagingPool` the pipeline snapshots
-        frame payloads into.  Lower it to model tight staging memory:
-        producers block once the arena is full of in-flight payloads.
     scheduler:
         The :class:`~repro.io.scheduler.IOScheduler` persist batches are
         submitted to (``SAVE`` class, on a serial lane so the inner
-        store's state stays a prefix of the accepted puts).  Defaults to
-        the process-wide scheduler.
+        store's state stays a prefix of the accepted puts).  Its byte
+        budget is the pipeline's only admission bound.  Defaults to the
+        process-wide scheduler.
     """
 
     def __init__(
         self,
         inner: CheckpointBackend,
-        max_pending: int = 256,
-        arena_bytes: int = DEFAULT_ARENA_BYTES,
         scheduler: Optional[IOScheduler] = None,
     ) -> None:
-        if max_pending < 1:
-            raise ValueError("max_pending must be >= 1")
         # No super().__init__(): bytes_read is a delegating property here
         # and must not be shadowed by an instance attribute.
         self.inner = inner
-        self.max_pending = max_pending
-        self.staging = StagingPool(arena_bytes)
         self.bytes_written = 0  # accepted (staged) payload bytes
         self.put_count = 0
-        # Backpressure is accounted per ENTRY (via the semaphore), not
-        # per queue item: a staged batch holds one permit per entry, so
-        # max_pending bounds staging memory even on the batched path.
-        self._slots = threading.Semaphore(max_pending)
         self._closed = False
         self._error: BaseException | None = None
         self._error_lock = threading.Lock()
@@ -294,6 +172,7 @@ class AsyncWriteBackend(CheckpointBackend):
         # lane: exact submission order, one at a time — the same prefix
         # property the dedicated drain thread used to provide.
         self._scheduler = scheduler if scheduler is not None else get_scheduler()
+        self._staging = _StagingBuffers(self._scheduler.byte_budget)
         self._lane = self._scheduler.lane(f"async-writer-{id(self):x}", 1)
         self._pending_cond = threading.Condition()
         self._unfinished = 0  # submitted-but-unwritten queue items
@@ -326,21 +205,21 @@ class AsyncWriteBackend(CheckpointBackend):
         delta-save sweep) are never recomputed by the inner backend.
         """
         if isinstance(payload, PayloadFrames) and payload.nbytes:
-            buffer = self.staging.acquire(payload.nbytes)
+            buffer = self._staging.acquire(payload.nbytes)
             return _Staged(key, payload.snapshot_into(buffer), stamp, node, buffer)
         return _Staged(key, payload, stamp, node, None)
 
     def _release(self, item: _Staged) -> None:
         if item.buffer is not None:
-            self.staging.release(item.buffer)
+            self._staging.release(item.buffer)
 
     # -- scheduler drain -------------------------------------------------
     def _submit_item(self, item, nbytes: int) -> None:
         """Hand one staged item (or batch) to the scheduler's SAVE lane.
 
         The byte-budget seam (``iosched:budget-exhausted``) can crash
-        the submission before it queues; staged buffers and permits are
-        returned before the crash propagates — exactly the put-boundary
+        the submission before it queues; staged buffers are returned
+        before the crash propagates — exactly the put-boundary
         crash the battery models.
         """
         with self._pending_cond:
@@ -415,12 +294,11 @@ class AsyncWriteBackend(CheckpointBackend):
         self._settle_item(item)
 
     def _settle_item(self, item) -> None:
-        # Buffers and permits return whether the write ran, failed, or
-        # was discarded — staging memory can never leak past a fault.
+        # Buffers return whether the write ran, failed, or was
+        # discarded — staging memory can never leak past a fault.
         staged = item.items if isinstance(item, _Batch) else [item]
         for entry in staged:
             self._release(entry)
-            self._slots.release()
         with self._pending_cond:
             self._unfinished -= 1
             self._pending_cond.notify_all()
@@ -486,7 +364,6 @@ class AsyncWriteBackend(CheckpointBackend):
         self._check_open()
         self._raise_pending()
         nbytes = len(payload)
-        self._slots.acquire()
         self._submit_item(self._stage(key, payload, stamp, node), nbytes)
         self.bytes_written += nbytes
         self.put_count += 1
@@ -498,41 +375,32 @@ class AsyncWriteBackend(CheckpointBackend):
         batched index maintenance (one journal append / index rewrite
         per checkpoint, not per entry).
 
-        Batches are split on two bounds before staging would block on
-        either backpressure valve: ``max_pending`` entries (acquiring
-        more permits than exist would deadlock) and half the staging
-        arena in bytes — queueing the first half lets the worker drain
-        it while the second half stages, and guarantees every buffer a
-        blocked ``acquire`` waits on is already visible to the worker.
+        Batches split at half the scheduler's byte budget (never when
+        the budget is ``None``), so the first half drains while the
+        second stages.  Admitted batches hold at most the budget and
+        the buffer pool keeps no more than it, so staging memory is at
+        most the budget plus the one batch being copied.
         """
         self._check_open()
         self._raise_pending()
+        budget = self._scheduler.byte_budget
+        split_at = None if budget is None else max(1, budget // 2)
         sizes: List[int] = []
-        byte_budget = max(1, self.staging.arena_bytes // 2)
         staged: List[_Staged] = []
         staged_bytes = 0
         for key, payload, stamp, node in items:
             nbytes = len(payload)
-            # Only frame payloads occupy pool buffers; plain bytes are
-            # staged as-is and must not trigger a byte-budget split
-            # (which would forfeit the inner store's batched index
-            # maintenance for nothing).
-            pool_bytes = nbytes if isinstance(payload, PayloadFrames) else 0
-            if staged and (
-                len(staged) >= self.max_pending
-                or (pool_bytes and staged_bytes + pool_bytes > byte_budget)
-            ):
-                self._submit_item(_Batch(staged), sum(len(s.payload) for s in staged))
+            if staged and split_at is not None and staged_bytes + nbytes > split_at:
+                self._submit_item(_Batch(staged), staged_bytes)
                 staged = []
                 staged_bytes = 0
-            self._slots.acquire()
             staged.append(self._stage(key, payload, stamp, node))
-            staged_bytes += pool_bytes
+            staged_bytes += nbytes
             self.bytes_written += nbytes
             self.put_count += 1
             sizes.append(nbytes)
         if staged:
-            self._submit_item(_Batch(staged), sum(len(s.payload) for s in staged))
+            self._submit_item(_Batch(staged), staged_bytes)
         return sizes
 
     def _barrier(self) -> None:
@@ -584,12 +452,12 @@ class AsyncWriteBackend(CheckpointBackend):
 
         The deferred-error channel is poisoned first, so every queued
         item the scheduler subsequently drains *discards* itself (its
-        staging buffer returns to the arena) instead of writing — the
+        staging buffer returns for reuse) instead of writing — the
         inner backend is left exactly as the drain left it; ``close``
         would first make every accepted write durable, which is
         precisely what a dying process cannot do.  The chaos campaign
         uses this to abandon an async instance after an injected crash
-        without leaking a staging arena per run.  Idempotent; never
+        without leaking staging buffers per run.  Idempotent; never
         raises the deferred write error (the "process" is dead —
         recovery learns the truth from reopen + fsck).
         """

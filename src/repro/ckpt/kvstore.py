@@ -152,17 +152,6 @@ class DiskKVStore(CheckpointBackend):
     def _path(self, key: str) -> str:
         return os.path.join(self._entries_dir, escape_key(key) + ".bin")
 
-    def _legacy_path(self, key: str) -> str:
-        """File name under the pre-backend escaping scheme.
-
-        Stores written before the reversible encoding used
-        ``"/" -> "__"`` / ``":" -> "_"``; reads fall back to it so an
-        existing checkpoint directory stays resumable (rewrites land
-        under the new, injective names).
-        """
-        name = key.replace("/", "__").replace(":", "_")
-        return os.path.join(self._entries_dir, name + ".bin")
-
     def _flush_index(self) -> None:
         tmp = self._index_path + ".tmp"
         with open(tmp, "w", encoding="utf-8") as handle:
@@ -212,18 +201,7 @@ class DiskKVStore(CheckpointBackend):
             with open(self._path(key), "rb") as handle:
                 return handle.read()
         except FileNotFoundError:
-            pass
-        # Legacy fallback, gated on the indexed size: legacy names are
-        # not unique per key (the old escaping collided), so a payload
-        # is only trusted when it matches the index metadata exactly.
-        try:
-            with open(self._legacy_path(key), "rb") as handle:
-                payload = handle.read()
-        except FileNotFoundError:
             raise KVStoreError(key) from None
-        if len(payload) != int(self._index[key]["nbytes"]):
-            raise KVStoreError(key)
-        return payload
 
     def stamp_of(self, key: str) -> int:
         if key not in self._index:
@@ -250,17 +228,6 @@ class DiskKVStore(CheckpointBackend):
         path = self._path(key)
         if os.path.exists(path):
             os.remove(path)
-        else:
-            # The entry may predate the reversible escaping — but legacy
-            # names collide across keys, so (like _read) only trust the
-            # file when its size matches the index metadata.
-            legacy = self._legacy_path(key)
-            try:
-                legacy_size = os.path.getsize(legacy)
-            except OSError:
-                legacy_size = -1
-            if legacy_size == int(self._index[key]["nbytes"]):
-                os.remove(legacy)
         del self._index[key]
         if not self._defer_index_flush:
             self._flush_index()

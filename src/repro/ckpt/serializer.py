@@ -436,8 +436,7 @@ class PayloadFrames:
         before staging are never recomputed downstream.
 
         ``buffer`` is anything exporting the buffer protocol (the
-        pooled ``bytearray`` of :class:`~repro.ckpt.async_writer.
-        StagingPool`).
+        async writer's reused staging ``bytearray``).
         """
         view = memoryview(buffer)
         if len(view) < self.nbytes:

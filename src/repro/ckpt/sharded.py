@@ -205,14 +205,6 @@ class ShardedDiskKVStore(CheckpointBackend):
         suffix = f"@{stamp}.bin" if gen == 0 else f"@{stamp}.{gen}.bin"
         return os.path.join(self._shard_of(key), escape_key(key) + suffix)
 
-    def _legacy_path(self, key: str) -> str:
-        """Pre-versioning payload path (PR-1 layout: no stamp suffix).
-
-        Reads fall back to it so an existing checkpoint directory stays
-        resumable; rewrites land under versioned names.
-        """
-        return os.path.join(self._shard_of(key), escape_key(key) + ".bin")
-
     def _ensure_shard_dir(self, path: str) -> None:
         shard = os.path.dirname(path)
         if shard not in self._shard_dirs_made:
@@ -243,12 +235,9 @@ class ShardedDiskKVStore(CheckpointBackend):
         if os.path.exists(path):
             os.remove(path)
 
-    def _superseded_path(self, key: str, old_meta: Dict[str, int]) -> str:
-        """The payload file an overwrite/delete makes unreferenced."""
-        path = self._path(key, int(old_meta["stamp"]), int(old_meta.get("gen", 0)))
-        if os.path.exists(path):
-            return path
-        return self._legacy_path(key)
+    def _payload_path(self, key: str, meta: Dict[str, int]) -> str:
+        """The payload file an index record references."""
+        return self._path(key, int(meta["stamp"]), int(meta.get("gen", 0)))
 
     # -- backend contract -----------------------------------------------
     def _write(self, key: str, payload, stamp: int, node) -> None:
@@ -267,7 +256,7 @@ class ShardedDiskKVStore(CheckpointBackend):
             record["gen"] = gen
         self._journal(record)
         if old_meta is not None:
-            self._unlink_after_journal(self._superseded_path(key, old_meta))
+            self._unlink_after_journal(self._payload_path(key, old_meta))
 
     def _finish_batch(self, crashed: bool = False) -> None:
         """Flush deferred journal records, then deferred file unlinks.
@@ -312,23 +301,11 @@ class ShardedDiskKVStore(CheckpointBackend):
     def _read(self, key: str) -> bytes:
         if key not in self._index:
             raise KVStoreError(key)
-        meta = self._index[key]
         try:
-            path = self._path(key, int(meta["stamp"]), int(meta.get("gen", 0)))
-            with open(path, "rb") as handle:
+            with open(self._payload_path(key, self._index[key]), "rb") as handle:
                 return handle.read()
         except FileNotFoundError:
-            pass
-        # Pre-versioning layout fallback, gated on the indexed size so a
-        # stale unversioned file can never masquerade as a newer stamp.
-        try:
-            with open(self._legacy_path(key), "rb") as handle:
-                payload = handle.read()
-        except FileNotFoundError:
             raise KVStoreError(key) from None
-        if len(payload) != int(meta["nbytes"]):
-            raise KVStoreError(key)
-        return payload
 
     def stamp_of(self, key: str) -> int:
         if key not in self._index:
@@ -358,7 +335,7 @@ class ShardedDiskKVStore(CheckpointBackend):
         # key whose payload is gone.
         old_meta = self._index.pop(key)
         self._journal({"op": "del", "key": key})
-        self._unlink_after_journal(self._superseded_path(key, old_meta))
+        self._unlink_after_journal(self._payload_path(key, old_meta))
 
     def delete_many(self, keys) -> None:
         """Batched deletes: one journal append for all tombstones."""

@@ -24,12 +24,12 @@ pool and a single admission point:
   maintenance can be capped without starving it (the aging floor still
   applies).
 * **One shared byte budget**: ``submit(nbytes=...)`` blocks while the
-  budget is full — admission is byte-granular, not task-count-granular.
-  The :class:`~repro.ckpt.async_writer.StagingPool` oversize liveness
-  rule applies (a payload larger than the whole budget admits alone),
-  and submissions *from scheduler worker threads overdraft* instead of
-  blocking — a running task that fans out subtasks can never deadlock
-  the pool on its own admission.
+  budget is full — admission is byte-granular, not task-count-granular,
+  and it is the only place an async save waits for memory.  A payload
+  larger than the whole budget admits alone (the oversize liveness
+  rule), and submissions *from scheduler worker threads overdraft*
+  instead of blocking — a running task that fans out subtasks can never
+  deadlock the pool on its own admission.
 * **Lanes**: a named :class:`IOLane` bounds concurrency for one
   submitter.  ``max_concurrency=1`` gives strict submission-order
   execution (the async writer's prefix-ordering contract);
@@ -44,8 +44,9 @@ pool and a single admission point:
   restore task whose hedged read submits two more tasks) cannot
   deadlock a bounded pool.
 * **Observability**: per-class depth/bytes/latency series on the
-  process metrics registry (``moc_io_*``) and ``io-task`` spans on the
-  tracer.
+  process metrics registry (``moc_io_*``), ``io-task`` spans on the
+  tracer, and an ``iosched-budget-wait`` span around every blocked
+  admission.
 * **Crash seams**: tasks submitted with a ``fault`` callable fire
   ``iosched:dispatch`` (worker thread, just before the body),
   ``iosched:cancel`` (canceller thread), and ``iosched:budget-exhausted``
@@ -83,9 +84,9 @@ __all__ = [
 #: save drain and an upload retry without oversubscribing a laptop.
 DEFAULT_IO_WORKERS = 4
 
-#: Default shared byte budget for queued-task payloads (256 MiB): four
-#: default staging arenas' worth — roomy for every model this repo
-#: runs, finite for a runaway producer.
+#: Default shared byte budget for queued-task payloads (256 MiB): roomy
+#: for several checkpoints of every model this repo runs, finite for a
+#: runaway producer.
 DEFAULT_IO_BYTE_BUDGET = 256 * 1024 * 1024
 
 
@@ -374,46 +375,49 @@ class IOScheduler:
         qos = QoS(qos)
         nbytes = max(0, int(nbytes))
         task = IOTask(self, fn, qos, nbytes, label, lane, fault, on_abandon)
-        is_worker = threading.get_ident() in self._worker_idents
-        blocked_at: Optional[float] = None
-        while True:
-            admissible = False
-            with self._cond:
-                if self._closed:
-                    raise RuntimeError("IOScheduler is closed")
-                admissible = (
-                    is_worker
-                    or self.byte_budget is None
-                    or nbytes == 0
-                    or self._outstanding_bytes + nbytes <= self.byte_budget
-                    or self._outstanding_bytes == 0  # oversize liveness rule
-                )
-                if admissible:
-                    now = time.monotonic()
-                    task._enqueued = now
-                    self._queues[qos].append(task)
-                    self._outstanding_bytes += nbytes
-                    depth = len(self._queues[qos])
-                    self._cond.notify_all()
-                elif blocked_at is not None:
-                    self._cond.wait(0.1)
-            if admissible:
-                break
-            if blocked_at is None:
-                # First time this submission actually blocks: count the
-                # stall and fire the seam on the submitter thread (a
-                # crash here is "process died waiting on admission").
-                blocked_at = time.monotonic()
-                self._m_budget_stalls.inc()
+        depth = self._admit(task, block=False)
+        if depth is None:
+            # Blocked on the budget: count the stall and fire the seam
+            # on the submitter thread (a crash here is "process died
+            # waiting on admission").
+            blocked_at = time.monotonic()
+            self._m_budget_stalls.inc()
+            with _span("iosched-budget-wait", qos=qos.label, nbytes=nbytes):
                 if fault is not None:
                     fault("iosched:budget-exhausted")
-        if blocked_at is not None:
+                depth = self._admit(task, block=True)
             self._m_budget_stall_seconds.inc(time.monotonic() - blocked_at)
         self._m_submitted[qos].inc()
         self._m_depth[qos].set(depth)
         self._m_depth_hw[qos].set_max(depth)
         self._m_bytes[qos].inc(nbytes)
         return task
+
+    def _admit(self, task: IOTask, block: bool) -> Optional[int]:
+        """Queue ``task`` once the byte budget has room for it; return
+        its class's new queue depth, or ``None`` if it would have to
+        wait and ``block`` is false."""
+        is_worker = threading.get_ident() in self._worker_idents
+        with self._cond:
+            while True:
+                if self._closed:
+                    raise RuntimeError("IOScheduler is closed")
+                if (
+                    is_worker
+                    or self.byte_budget is None
+                    or task.nbytes == 0
+                    or self._outstanding_bytes + task.nbytes <= self.byte_budget
+                    or self._outstanding_bytes == 0  # oversize liveness rule
+                ):
+                    task._enqueued = time.monotonic()
+                    queue = self._queues[task.qos]
+                    queue.append(task)
+                    self._outstanding_bytes += task.nbytes
+                    self._cond.notify_all()
+                    return len(queue)
+                if not block:
+                    return None
+                self._cond.wait(0.1)
 
     # -- dispatch --------------------------------------------------------
     def _lane_free(self, task: IOTask) -> bool:

@@ -104,7 +104,7 @@ class Counter:
 
 
 class Gauge:
-    """A value that can go up and down (queue depth, arena residency)."""
+    """A value that can go up and down (queue depth, queued bytes)."""
 
     kind = "gauge"
     __slots__ = ("name", "_lock", "_value")

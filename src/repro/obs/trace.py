@@ -17,8 +17,8 @@ real save.  Enabled-mode recording appends one small dict per event to
 a thread-local list; no locks on the hot path (the registry of thread
 buffers is touched once per thread lifetime).
 
-Work timed outside a live span — e.g. the async writer's staging waits,
-measured only once they end — is recorded as a completed
+Work timed outside a live span — e.g. spans measured in another
+process, or only once they end — is recorded as a completed
 ``{"name", "ts", "dur", "pid", "tid", "args"}`` dict
 (:func:`complete_span_dict`) and folded in with :func:`merge_spans`;
 Perfetto renders each on the pid/tid track the dict names.

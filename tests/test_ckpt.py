@@ -156,60 +156,29 @@ class TestDiskKVStore:
         assert store.has(key)
         assert np.array_equal(store.get(key)["x"], np.ones(1))
 
-    def test_reads_legacy_escaped_entry_files(self, tmp_path):
-        # A store written under the old "/"->"__" escaping must stay
-        # readable (resume on an existing checkpoint directory).
-        store = DiskKVStore(str(tmp_path))
-        key = "expert:l0:e1:moe/experts.1.weight"
-        store.put(key, {"x": np.arange(3.0)}, stamp=5)
-        import os
-
-        legacy = os.path.join(
-            str(tmp_path), "entries",
-            key.replace("/", "__").replace(":", "_") + ".bin",
-        )
-        os.rename(store._path(key), legacy)
-        reopened = DiskKVStore(str(tmp_path))
-        assert np.array_equal(reopened.get(key)["x"], np.arange(3.0))
-
-    def test_legacy_fallback_rejects_size_mismatch(self, tmp_path):
-        # Legacy names are not unique per key ("a:b" -> "a_b.bin" is
-        # also the new-style file of the distinct key "a_b"); a legacy
-        # payload is only trusted when it matches the indexed size.
+    def test_missing_payload_rejects_colliding_file(self, tmp_path):
+        # "a:b" and "a_b" are distinct keys: a read of "a:b" whose payload
+        # file is gone raises rather than returning another key's file.
         import os
 
         store = DiskKVStore(str(tmp_path))
         store.put("a:b", {"x": np.ones(4)}, stamp=1)
         os.remove(store._path("a:b"))
-        store.put("a_b", {"x": np.ones(9)}, stamp=2)  # lands at a_b.bin
+        store.put("a_b", {"x": np.ones(9)}, stamp=2)
         from repro.ckpt import KVStoreError
 
         with pytest.raises(KVStoreError):
             store.get("a:b")  # must not return a_b's payload
 
-    def test_delete_removes_legacy_entry_file(self, tmp_path):
-        import os
-
-        store = DiskKVStore(str(tmp_path))
-        key = "moe/experts.1.weight"
-        store.put(key, {"x": np.ones(2)}, stamp=0)
-        legacy = os.path.join(
-            str(tmp_path), "entries", key.replace("/", "__") + ".bin"
-        )
-        os.rename(store._path(key), legacy)
-        store.delete(key)
-        assert not os.path.exists(legacy)
-
-    def test_delete_legacy_fallback_spares_colliding_live_key(self, tmp_path):
-        # "a:b"'s legacy name is "a_b.bin" — also the new-style file of
-        # the distinct key "a_b".  Deleting the legacy-era "a:b" must
-        # not destroy "a_b"'s live payload (size gate, same as _read).
+    def test_delete_with_missing_payload_spares_colliding_live_key(self, tmp_path):
+        # Deleting "a:b", whose payload file is gone, must not destroy
+        # the distinct key "a_b"'s live payload.
         import os
 
         store = DiskKVStore(str(tmp_path))
         store.put("a:b", {"x": np.ones(4)}, stamp=1)
-        os.remove(store._path("a:b"))  # its payload "moved" to legacy era
-        store.put("a_b", {"x": np.ones(9)}, stamp=2)  # lives at a_b.bin
+        os.remove(store._path("a:b"))
+        store.put("a_b", {"x": np.ones(9)}, stamp=2)
         store.delete("a:b")
         assert np.array_equal(store.get("a_b")["x"], np.ones(9))
 

@@ -153,6 +153,33 @@ class TestByteBudget:
             hold.result(timeout=5.0)
             assert sched.outstanding_bytes == 0
 
+    def test_blocked_admission_records_budget_wait_span(self):
+        from repro.obs.trace import get_tracer
+
+        tracer = get_tracer()
+        tracer.reset()
+        tracer.enable()
+        try:
+            with make_scheduler(workers=1, byte_budget=100) as sched:
+                gate = threading.Event()
+                hold = sched.submit(lambda: gate.wait(5.0), QoS.SAVE, nbytes=100)
+                thread = threading.Thread(
+                    target=lambda: sched.submit(lambda: None, QoS.SAVE, nbytes=50)
+                )
+                thread.start()
+                time.sleep(0.1)
+                gate.set()
+                thread.join(timeout=5.0)
+                hold.result(timeout=5.0)
+            events = tracer.export()["traceEvents"]
+        finally:
+            tracer.disable()
+            tracer.reset()
+        waits = [e for e in events
+                 if e["name"] == "iosched-budget-wait" and e["ph"] == "B"]
+        assert len(waits) == 1
+        assert waits[0]["args"] == {"qos": "save", "nbytes": 50}
+
     def test_no_priority_inversion_when_budget_frees(self):
         """Both a RESTORE and a MAINTENANCE task fit the budget and
         queue behind a held worker: the RESTORE must run first no

@@ -10,9 +10,9 @@ Four properties this suite exists to hold:
   exactly one SHA-256 sweep per serialized payload byte (delta-save
   check and dedup chunk addressing *share* the sweep) and zero staging
   copies on the sync path / exactly one on the async path;
-* **bounded staging** — the async pipeline's pooled arena reuses
-  buffers across checkpoints and blocks producers on exhaustion
-  instead of allocating past its budget;
+* **bounded staging** — the async pipeline reuses staging buffers
+  across checkpoints, and the I/O scheduler's byte budget blocks
+  producers instead of letting staged bytes grow past it;
 * **zero-copy reads stay safe** — ``deserialize_entry(copy=False)``
   returns views that share the payload buffer, the writability guard
   restores mutability exactly where needed, and a recovery through the
@@ -33,8 +33,8 @@ from repro.ckpt import (
     DedupBackend,
     PayloadFrames,
     PipelineMeters,
+    CrashInjected,
     ShardedDiskKVStore,
-    StagingPool,
     chunk_digest,
     chunk_payload,
     deserialize_entry,
@@ -44,6 +44,9 @@ from repro.ckpt import (
     writable_entry,
 )
 from repro.ckpt import jsonl
+from repro.ckpt.async_writer import _StagingBuffers
+from repro.io.scheduler import IOScheduler
+from repro.obs.metrics import MetricsRegistry
 from repro.core import MoCCheckpointManager, MoCConfig, PECConfig, TwoLevelConfig
 from repro.testing import (
     TINY,
@@ -243,33 +246,61 @@ class TestMeterRegression:
             assert manager.disk_store.bytes_written == written + meta_bytes
 
 
-class TestStagingPool:
+def gated_store(root):
+    """A sharded store whose writes wait on ``gate`` once ``entered``
+    is set — lets a test hold the drain with a payload in flight."""
+    gate = threading.Event()
+    entered = threading.Event()
+
+    class GatedStore(ShardedDiskKVStore):
+        def _write(self, key, payload, stamp, node):
+            entered.set()
+            assert gate.wait(timeout=10)
+            super()._write(key, payload, stamp, node)
+
+    return GatedStore(root), gate, entered
+
+
+def record_batches(inner):
+    """Wrap ``inner.put_many_serialized``; return the list it fills
+    with each batch's keys."""
+    batches = []
+    original = inner.put_many_serialized
+
+    def record(items):
+        batches.append([key for key, *_ in items])
+        return original(items)
+
+    inner.put_many_serialized = record
+    return batches
+
+
+class TestStagingBudget:
+    """Staging memory is admitted by the scheduler's byte budget alone;
+    the writer only recycles buffers."""
+
     def test_buffers_are_reused_across_checkpoints(self, tmp_path):
         inner = ShardedDiskKVStore(str(tmp_path))
         with AsyncWriteBackend(inner) as store:
             for stamp in range(20):
                 store.put("k", entry(float(stamp), size=512), stamp=stamp)
                 store.flush()
-            pool = store.staging
+            pool = store._staging
             assert pool.buffers_allocated <= 2
             assert pool.buffers_reused >= 18
 
-    def test_pool_exhaustion_blocks_producer_until_release(self, tmp_path):
-        gate = threading.Event()
-        entered = threading.Event()
-
-        class GatedStore(ShardedDiskKVStore):
-            def _write(self, key, payload, stamp, node):
-                entered.set()
-                assert gate.wait(timeout=10)
-                super()._write(key, payload, stamp, node)
-
-        inner = GatedStore(str(tmp_path))
+    def test_budget_blocks_producer_until_lane_drains(self, tmp_path):
+        inner, gate, entered = gated_store(str(tmp_path))
         payload = entry(1.0, size=512)  # ~4KiB serialized
         nbytes = len(serialize_entry(payload))
-        store = AsyncWriteBackend(inner, arena_bytes=int(nbytes * 1.5))
+        registry = MetricsRegistry()
+        stalls = registry.counter("moc_io_budget_stalls_total")
+        scheduler = IOScheduler(
+            workers=1, byte_budget=int(nbytes * 1.5), registry=registry
+        )
+        store = AsyncWriteBackend(inner, scheduler=scheduler)
         try:
-            store.put("a", payload, stamp=0)  # worker blocks holding buffer
+            store.put("a", payload, stamp=0)  # worker blocks holding it
             assert entered.wait(timeout=10)
             second_done = threading.Event()
 
@@ -279,83 +310,152 @@ class TestStagingPool:
 
             producer = threading.Thread(target=second_put, daemon=True)
             producer.start()
-            # the arena cannot hold two payloads: the producer must block
+            # the budget cannot hold two payloads: the producer must block
             assert not second_done.wait(timeout=0.3)
-            assert store.staging.exhaustion_waits >= 1
-            gate.set()  # worker drains, releasing the buffer
+            assert stalls.value >= 1
+            gate.set()  # the lane drains, returning the bytes
             assert second_done.wait(timeout=10)
             store.flush()
             assert inner.has("a") and inner.has("b")
         finally:
             gate.set()
             store.close()
+            scheduler.shutdown()
 
-    def test_oversize_payload_still_makes_progress(self, tmp_path):
+    def test_oversize_payload_admits_alone(self, tmp_path):
         inner = ShardedDiskKVStore(str(tmp_path))
-        with AsyncWriteBackend(inner, arena_bytes=64) as store:
-            store.put("big", entry(3.0, size=4096), stamp=1)  # >> arena
-            store.flush()
-            assert inner.nbytes_of("big") == len(serialize_entry(entry(3.0, size=4096)))
-            # oversize buffers are dropped, not pooled
-            assert store.staging.idle_buffers == 0
+        with IOScheduler(workers=1, byte_budget=64) as scheduler:
+            with AsyncWriteBackend(inner, scheduler=scheduler) as store:
+                store.put("big", entry(3.0, size=4096), stamp=1)  # >> budget
+                store.flush()
+                expected = len(serialize_entry(entry(3.0, size=4096)))
+                assert inner.nbytes_of("big") == expected
+                # oversize buffers are dropped, not kept for reuse
+                assert store._staging.idle_bytes == 0
 
-    def test_batched_put_larger_than_arena_drains_incrementally(self, tmp_path):
+    def test_batched_put_larger_than_budget_drains_incrementally(self, tmp_path):
         inner = ShardedDiskKVStore(str(tmp_path))
         payload = entry(1.0, size=512)
         nbytes = len(serialize_entry(payload))
-        with AsyncWriteBackend(inner, arena_bytes=3 * nbytes) as store:
-            items = [(f"k{i}", payload, 1, 0) for i in range(16)]
-            store.put_many(items)  # 16x the sub-batch byte budget
+        budget = 4 * nbytes
+        batches = record_batches(inner)
+        with IOScheduler(workers=1, byte_budget=budget) as scheduler:
+            with AsyncWriteBackend(inner, scheduler=scheduler) as store:
+                items = [(f"k{i}", payload, 1, 0) for i in range(16)]
+                store.put_many(items)  # 4x the whole budget
+                store.flush()
+                assert inner.put_count == 16
+                assert inner.keys() == sorted(f"k{i}" for i in range(16))
+                # split at half the budget, so two batches fit in flight
+                assert len(batches) > 1
+                assert max(len(keys) for keys in batches) * nbytes <= budget // 2
+                assert scheduler.outstanding_bytes == 0
+                pool = store._staging
+                assert pool.lent_bytes == 0
+                assert pool.idle_bytes <= budget
+
+    def test_unbounded_budget_keeps_batch_whole(self, tmp_path):
+        inner = ShardedDiskKVStore(str(tmp_path))
+        batches = record_batches(inner)
+        with IOScheduler(workers=1, byte_budget=None) as scheduler:
+            with AsyncWriteBackend(inner, scheduler=scheduler) as store:
+                store.put_many(
+                    [(f"k{i}", entry(1.0, size=512), 1, 0) for i in range(16)]
+                )
+                store.flush()
+        assert [len(keys) for keys in batches] == [16]
+
+    def test_buffer_pool_reuses_best_fit(self):
+        pool = _StagingBuffers(limit=None)
+        buffers = [pool.acquire(n) for n in (10, 50, 30)]
+        for buffer in buffers:
+            pool.release(buffer)
+        assert len(pool.acquire(20)) == 30
+        assert pool.buffers_reused == 1
+
+    def test_buffer_pool_trims_to_limit(self):
+        pool = _StagingBuffers(limit=100)
+        a, b = pool.acquire(60), pool.acquire(60)
+        pool.release(a)  # 60 idle + 60 lent > 100: evicted
+        assert pool.idle_bytes == 0
+        pool.release(b)
+        assert pool.idle_bytes == 60
+        big = pool.acquire(200)  # lent past the limit: idle evicted
+        assert pool.idle_bytes == 0
+        pool.release(big)  # larger than the limit: never kept
+        assert pool.idle_bytes == 0
+        assert pool.lent_bytes == 0
+
+    def test_buffer_pool_accounting_survives_threads(self):
+        # Producers acquire while drain threads release: no buffer is
+        # lent to two holders at once, and the byte ledger ends exact,
+        # within the limit, with nothing lent.
+        import sys
+
+        pool = _StagingBuffers(limit=4096)
+        errors = []
+
+        def churn(seed):
+            rng = np.random.default_rng(seed)
+            mark = bytes([seed])
+            try:
+                for _ in range(1000):
+                    nbytes = int(rng.integers(1, 1024))
+                    buffer = pool.acquire(nbytes)
+                    assert len(buffer) >= nbytes
+                    buffer[:nbytes] = mark * nbytes
+                    time.sleep(0)
+                    assert buffer[:nbytes] == mark * nbytes
+                    pool.release(buffer)
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=churn, args=(i,)) for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert pool.lent_bytes == 0
+        assert pool.idle_bytes == sum(len(buf) for buf in pool._free) <= 4096
+
+    def test_budget_seam_crash_returns_buffer_without_poisoning(self, tmp_path):
+        inner, gate, entered = gated_store(str(tmp_path))
+        payload = entry(1.0, size=512)
+        nbytes = len(serialize_entry(payload))
+        scheduler = IOScheduler(workers=1, byte_budget=int(nbytes * 1.5))
+        store = AsyncWriteBackend(inner, scheduler=scheduler)
+
+        def crash_on_budget(point):
+            if point == "iosched:budget-exhausted":
+                raise CrashInjected(point)
+
+        try:
+            store.put("a", payload, stamp=0)
+            assert entered.wait(timeout=10)
+            store.fault_hook = crash_on_budget
+            with pytest.raises(CrashInjected):
+                store.put("b", payload, stamp=0)  # raised synchronously
+            store.fault_hook = None
+            # only "a" still holds a staging buffer
+            assert store._staging.lent_bytes == nbytes
+            assert store._error is None
+            gate.set()
+            store.put("c", payload, stamp=1)
             store.flush()
-            assert inner.put_count == 16
-        assert store.staging.buffers_allocated <= 4
-
-    def test_pool_rejects_invalid_arena(self):
-        with pytest.raises(ValueError):
-            StagingPool(0)
-
-    def test_fifo_admission_prevents_small_acquires_starving_large(self):
-        # Regression: capacity freed by a release used to go to whoever
-        # raced to the lock first, so a stream of small acquires (each
-        # fitting the arena) could starve a queued large/oversize
-        # acquire forever.  Admission is now strictly arrival-ordered.
-        pool = StagingPool(1024)
-        held = pool.acquire(512)
-        grants = []
-        large_granted = threading.Event()
-        small_granted = threading.Event()
-
-        def want_large():
-            buf = pool.acquire(2048)  # oversize: needs an idle arena
-            grants.append("large")
-            large_granted.set()
-            pool.release(buf)
-
-        def want_small():
-            buf = pool.acquire(64)
-            grants.append("small")
-            small_granted.set()
-            pool.release(buf)
-
-        t_large = threading.Thread(target=want_large, daemon=True)
-        t_large.start()
-        deadline = time.monotonic() + 5
-        while not pool._waiters and time.monotonic() < deadline:
-            time.sleep(0.005)
-        assert pool._waiters  # the large acquire is queued
-        # A newcomer must not slip past the queued waiter even though
-        # 448 bytes of arena budget are technically free right now.
-        assert pool.try_acquire(64) is None
-        t_small = threading.Thread(target=want_small, daemon=True)
-        t_small.start()
-        while len(pool._waiters) < 2 and time.monotonic() < deadline:
-            time.sleep(0.005)
-        pool.release(held)  # arena idles: the queue head (large) wins
-        assert large_granted.wait(timeout=5)
-        assert small_granted.wait(timeout=5)
-        t_large.join(timeout=5)
-        t_small.join(timeout=5)
-        assert grants == ["large", "small"]
+            assert inner.has("a") and inner.has("c")
+            assert not inner.has("b")
+            assert store._staging.lent_bytes == 0
+        finally:
+            gate.set()
+            store.close()
+            scheduler.shutdown()
 
     def test_mutation_after_staged_batch_is_safe(self, tmp_path):
         # put_many with frames must snapshot before returning, same as
