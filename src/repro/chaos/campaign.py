@@ -326,6 +326,7 @@ class _Stack:
     store: object  # what the op plan talks to
     base: object  # the tiered/dedup store underneath (fsck/gc live here)
     injector: SeamInjector
+    scheduler: Optional[IOScheduler] = None  # the async writer's own
 
     def fsck(self, repair: bool = False):
         return self.base.fsck(repair=repair)
@@ -337,8 +338,23 @@ class _Stack:
         """The "process" died: drop the instance without flushing."""
         if isinstance(self.store, AsyncWriteBackend):
             self.store.abort()
+        if self.scheduler is not None:
+            self.scheduler.shutdown()
         # Sync stores with inline uploads hold no threads; the instance
         # is simply dropped, like the crash batteries do.
+
+    def close(self) -> None:
+        try:
+            self.store.close()
+        finally:
+            if self.scheduler is not None:
+                self.scheduler.shutdown()
+
+
+# Byte budget of the async-tiered stack's private scheduler: one or two
+# serialized entries (200-900 payload bytes each), so most queued puts
+# wait for the drain.
+ASYNC_BYTE_BUDGET = 1024
 
 
 def _build_stack(
@@ -396,8 +412,17 @@ def _build_stack(
         tiered.fault_hook = injector
         if backend == "tiered":
             return _Stack(store=tiered, base=tiered, injector=injector)
-        wrapper = AsyncWriteBackend(tiered)
-        return _Stack(store=wrapper, base=tiered, injector=injector)
+        # A private scheduler with a budget of one or two entries, so
+        # the real save path blocks on admission and the budget seam
+        # fires between queued writes, not only in the synthetic
+        # ``iosched`` op.
+        scheduler = IOScheduler(
+            workers=1, byte_budget=ASYNC_BYTE_BUDGET, name="chaos-async"
+        )
+        wrapper = AsyncWriteBackend(tiered, scheduler=scheduler)
+        return _Stack(
+            store=wrapper, base=tiered, injector=injector, scheduler=scheduler
+        )
     raise ValueError(f"unknown backend {backend!r}")
 
 
@@ -616,9 +641,10 @@ class ChaosRun:
         """Exercise the I/O-scheduler seams the store ops cannot reach.
 
         ``iosched:dispatch`` already fires whenever a gc pass dispatches
-        its MAINTENANCE task, but nothing in the op plan cancels a task
-        or fills the byte budget — so this op drives both against a
-        short-lived private scheduler: a running hold task pins the
+        its MAINTENANCE task, and async-tiered puts fill their writer's
+        small budget, but nothing in the op plan cancels a task and the
+        sync stacks never wait on bytes — so this op drives both against
+        a short-lived private scheduler: a running hold task pins the
         whole (tiny) budget, a queued victim is cancelled
         (``iosched:cancel``), and a further admission blocks on bytes
         (``iosched:budget-exhausted``).  The injector rides in as each
@@ -813,7 +839,7 @@ class ChaosRun:
                 raise self._fail(failure)
             # Clean teardown (the run survived; this is not a crash).
             try:
-                stack.store.close()
+                stack.close()
             except Exception:  # noqa: BLE001 - teardown best-effort
                 pass
 

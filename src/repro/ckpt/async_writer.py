@@ -77,14 +77,18 @@ class _StagingBuffers:
 
     Admission is the scheduler's job; this only recycles memory, because
     copying frames into a reused buffer is several times faster than
-    into a fresh allocation.  ``limit`` (the scheduler's byte budget,
-    ``None`` for unbounded) caps what the pool holds: idle buffers are
-    evicted, oldest first, while idle plus lent-out bytes exceed it, and
-    a buffer larger than the limit is never kept.
+    into a fresh allocation.  ``budget`` is the scheduler's byte budget
+    (``None`` for unbounded).  While the budget is full the writer
+    legitimately has up to the budget plus one half-budget batch lent
+    out (a batch is staged before ``submit`` admits it), so that sum is
+    the pool's ceiling: idle buffers are evicted, oldest first, only
+    while idle plus lent-out bytes exceed it, and a buffer larger than
+    the budget is never kept.
     """
 
-    def __init__(self, limit: Optional[int]) -> None:
-        self.limit = limit
+    def __init__(self, budget: Optional[int]) -> None:
+        self.budget = budget
+        self.ceiling = None if budget is None else budget + budget // 2
         self._lock = threading.Lock()
         self._free: List[bytearray] = []
         self.idle_bytes = 0
@@ -110,15 +114,15 @@ class _StagingBuffers:
     def release(self, buffer: bytearray) -> None:
         with self._lock:
             self.lent_bytes -= len(buffer)
-            if self.limit is None or len(buffer) <= self.limit:
+            if self.budget is None or len(buffer) <= self.budget:
                 self._free.append(buffer)
                 self.idle_bytes += len(buffer)
                 self._trim()
 
     def _trim(self) -> None:
-        if self.limit is None:
+        if self.ceiling is None:
             return
-        while self._free and self.idle_bytes + self.lent_bytes > self.limit:
+        while self._free and self.idle_bytes + self.lent_bytes > self.ceiling:
             self.idle_bytes -= len(self._free.pop(0))
 
 
@@ -377,9 +381,10 @@ class AsyncWriteBackend(CheckpointBackend):
 
         Batches split at half the scheduler's byte budget (never when
         the budget is ``None``), so the first half drains while the
-        second stages.  Admitted batches hold at most the budget and
-        the buffer pool keeps no more than it, so staging memory is at
-        most the budget plus the one batch being copied.
+        second stages.  Admitted batches hold at most the budget, one
+        more batch is staged while ``submit`` waits, and the buffer
+        pool keeps idle buffers only within that ceiling, so staging
+        memory is at most the budget plus the one batch being copied.
         """
         self._check_open()
         self._raise_pending()

@@ -352,7 +352,10 @@ class TestStagingBudget:
                 assert scheduler.outstanding_bytes == 0
                 pool = store._staging
                 assert pool.lent_bytes == 0
-                assert pool.idle_bytes <= budget
+                assert pool.idle_bytes <= budget + budget // 2
+        # the budget's worth in flight plus the batch staged behind it
+        # are reused for every later batch, never reallocated
+        assert pool.buffers_allocated <= 6
 
     def test_unbounded_budget_keeps_batch_whole(self, tmp_path):
         inner = ShardedDiskKVStore(str(tmp_path))
@@ -366,33 +369,39 @@ class TestStagingBudget:
         assert [len(keys) for keys in batches] == [16]
 
     def test_buffer_pool_reuses_best_fit(self):
-        pool = _StagingBuffers(limit=None)
+        pool = _StagingBuffers(budget=None)
         buffers = [pool.acquire(n) for n in (10, 50, 30)]
         for buffer in buffers:
             pool.release(buffer)
         assert len(pool.acquire(20)) == 30
         assert pool.buffers_reused == 1
 
-    def test_buffer_pool_trims_to_limit(self):
-        pool = _StagingBuffers(limit=100)
-        a, b = pool.acquire(60), pool.acquire(60)
-        pool.release(a)  # 60 idle + 60 lent > 100: evicted
+    def test_buffer_pool_trims_only_past_ceiling(self):
+        # The budget's worth admitted plus a half-budget batch staged
+        # behind it is the writer's steady state under backpressure:
+        # released buffers must stay pooled there, not be reallocated.
+        pool = _StagingBuffers(budget=100)  # ceiling 150
+        held = [pool.acquire(50) for _ in range(3)]  # 150 lent
+        pool.release(held.pop(0))
+        assert pool.idle_bytes == 50
+        held.append(pool.acquire(50))
+        assert pool.buffers_allocated == 3 and pool.buffers_reused == 1
+        for buffer in held:
+            pool.release(buffer)
+        assert pool.idle_bytes == 150 and pool.lent_bytes == 0
+        big = pool.acquire(200)  # lent past the ceiling: idle evicted
         assert pool.idle_bytes == 0
-        pool.release(b)
-        assert pool.idle_bytes == 60
-        big = pool.acquire(200)  # lent past the limit: idle evicted
-        assert pool.idle_bytes == 0
-        pool.release(big)  # larger than the limit: never kept
+        pool.release(big)  # larger than the budget: never kept
         assert pool.idle_bytes == 0
         assert pool.lent_bytes == 0
 
     def test_buffer_pool_accounting_survives_threads(self):
         # Producers acquire while drain threads release: no buffer is
         # lent to two holders at once, and the byte ledger ends exact,
-        # within the limit, with nothing lent.
+        # within the ceiling, with nothing lent.
         import sys
 
-        pool = _StagingBuffers(limit=4096)
+        pool = _StagingBuffers(budget=4096)
         errors = []
 
         def churn(seed):
@@ -423,7 +432,8 @@ class TestStagingBudget:
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
         assert pool.lent_bytes == 0
-        assert pool.idle_bytes == sum(len(buf) for buf in pool._free) <= 4096
+        assert pool.idle_bytes == sum(len(buf) for buf in pool._free)
+        assert pool.idle_bytes <= pool.ceiling
 
     def test_budget_seam_crash_returns_buffer_without_poisoning(self, tmp_path):
         inner, gate, entered = gated_store(str(tmp_path))
