@@ -22,6 +22,11 @@ asserts nonzero observed retries and a drained, fsck-clean store.
 A third config (``write-back keep1``) bounds the local tier to the
 newest stamp, forcing the read path through demotion -> remote fetch
 -> promotion, and reports the measured local-hit vs remote-read cost.
+It then restores every demoted key twice per repeat — once through
+per-key ``get``, once through one ``get_many`` batch (remote fetches
+overlapped on the scheduler, one batch promotion), re-demoting in
+between — and reports the measured wall ratio as
+``batch_restore_speedup``.
 
 The model section prices recovery with
 :func:`repro.distsim.two_tier_recovery_cost` across a keep-last-k
@@ -35,8 +40,9 @@ Run standalone for the CI perf-smoke gate::
     python benchmarks/bench_tiered_backend.py --quick \
         --check-baseline benchmarks/results/BENCH_tiered_backend.json
 
-The gate compares the acceptance-speedup ratio against the committed
-baseline and fails on a >30% regression.
+The gate compares the acceptance-speedup ratio and the batched-restore
+speedup against the committed baseline and fails when either regresses
+by more than 30%.
 """
 
 from __future__ import annotations
@@ -80,6 +86,9 @@ QUICK = dict(entries=16, elems=4096, stamps=3)
 #: paying the remote round trip inline) lands near 1x and still fails
 #: the 30% floor by a mile.
 HEADLINE_CAP = 10.0
+
+#: Restore passes per path in the keep1 config (median wall counts).
+RESTORE_REPEATS = 3
 
 #: Keep-last-k ladder for the Figure 15(a) model section.
 KEEP_LADDER = (0, 1, 2, 4, 8)
@@ -189,10 +198,12 @@ def run_config(
             else:
                 read_local += elapsed
         store.flush()
+        restore = time_demoted_restore(store) if local_keep_stamps else {}
         stats = store.tier_stats()
         fsck = store.fsck()
         puts = sum(len(items) for items in stream)
         return dict(
+            restore,
             upload_workers=upload_workers,
             local_keep_stamps=local_keep_stamps,
             puts=puts,
@@ -214,6 +225,39 @@ def run_config(
         )
     finally:
         store.close()
+
+
+def time_demoted_restore(store) -> dict:
+    """Measured wall of restoring every demoted key per key vs batched.
+
+    Each pass starts from the same state: ``flush`` re-demotes what the
+    previous pass promoted.  Both paths promote, so the ratio isolates
+    overlapped remote fetches plus one batch promotion against serial
+    fetches and per-key promotions.
+    """
+    demoted = [key for key in store.keys() if not store.local.has(key)]
+    assert demoted, "keep1 config demoted nothing"
+    per_key: List[float] = []
+    batched: List[float] = []
+    for _ in range(RESTORE_REPEATS):
+        begin = time.perf_counter()
+        singles = [store.get(key) for key in demoted]
+        per_key.append(time.perf_counter() - begin)
+        store.flush()
+        begin = time.perf_counter()
+        batch = store.get_many(demoted)
+        batched.append(time.perf_counter() - begin)
+        store.flush()
+        for one, many in zip(singles, batch):
+            assert all(np.array_equal(one[f], many[f]) for f in one)
+    per_key_s = float(np.median(per_key))
+    batched_s = float(np.median(batched))
+    return dict(
+        restore_keys=len(demoted),
+        restore_per_key_seconds=per_key_s,
+        restore_batched_seconds=batched_s,
+        batch_restore_speedup=per_key_s / batched_s if batched_s > 0 else 0.0,
+    )
 
 
 def model_fig15a_rows() -> List[dict]:
@@ -269,6 +313,7 @@ def compute_results(tmpdir: str, quick: bool = False) -> dict:
     )
     results["raw_acceptance_speedup"] = raw
     results["headline_speedup"] = min(raw, HEADLINE_CAP)
+    results["batch_restore_speedup"] = configs["write-back keep1"]["batch_restore_speedup"]
     return results
 
 
@@ -300,6 +345,14 @@ def render_report(results: dict) -> str:
          "pending", "promotions"],
         rows, precision=2,
     ))
+    keep1 = results["configs"]["write-back keep1"]
+    lines.append(
+        f"demoted restore ({keep1['restore_keys']} keys, median of "
+        f"{RESTORE_REPEATS}): per-key get "
+        f"{1e3 * keep1['restore_per_key_seconds']:.1f} ms, get_many "
+        f"{1e3 * keep1['restore_batched_seconds']:.1f} ms -> "
+        f"{results['batch_restore_speedup']:.2f}x"
+    )
     lines.append(
         f"headline: write-back acceptance speedup vs write-through = "
         f"{results['headline_speedup']:.2f}x (raw "
@@ -348,6 +401,8 @@ def check_results(results: dict) -> None:
     assert keep1["demotions"] > 0
     assert keep1["remote_reads"] > 0
     assert keep1["promotions"] > 0
+    # Overlapped fetches beat the per-key loop outright (measured wall).
+    assert results["batch_restore_speedup"] > 1.0, results["batch_restore_speedup"]
     # Fig 15(a) trend: two-level <= storage-only everywhere, monotone
     # improvement with local coverage, flat baseline.
     rows = results["fig15a_model"]["rows"]
@@ -392,8 +447,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "BENCH_tiered_backend.json (suffixed _quick under "
                              "--quick) and refresh the repo-root mirror")
     parser.add_argument("--check-baseline", metavar="PATH", default=None,
-                        help="fail (exit 1) when the acceptance speedup "
-                             "regresses >30%% vs the committed baseline JSON "
+                        help="fail (exit 1) when the acceptance or batched-"
+                             "restore speedup regresses >30%% vs the committed "
+                             "baseline JSON "
                              "(ratio-based, so the gate is machine-"
                              "independent)")
     args = parser.parse_args(argv)
@@ -429,13 +485,18 @@ def main(argv: Optional[List[str]] = None) -> int:
         mirror_bench_json(json_path)
     check_results(results)
     if baseline is not None:
-        floor = 0.7 * baseline["headline_speedup"]
-        current = results["headline_speedup"]
-        print(f"perf gate: acceptance speedup {current:.2f}x vs baseline "
-              f"{baseline['headline_speedup']:.2f}x (floor {floor:.2f}x)")
-        if current < floor:
-            print("perf gate FAILED: tiered acceptance speedup regressed >30%",
-                  file=sys.stderr)
+        failed = False
+        for key, name in (("headline_speedup", "acceptance speedup"),
+                          ("batch_restore_speedup", "batched-restore speedup")):
+            floor = 0.7 * baseline[key]
+            current = results[key]
+            print(f"perf gate: {name} {current:.2f}x vs baseline "
+                  f"{baseline[key]:.2f}x (floor {floor:.2f}x)")
+            if current < floor:
+                print(f"perf gate FAILED: tiered {name} regressed >30%",
+                      file=sys.stderr)
+                failed = True
+        if failed:
             return 1
     return 0
 

@@ -15,6 +15,8 @@ Contract highlights
   maintenance over the batch (the disk store flushes its index once).
 * ``get`` / ``stamp_of`` / ``nbytes_of`` raise :class:`KVStoreError`
   (a ``KeyError`` subclass) for missing keys.
+* ``get_many`` is the batched read — entries in key order; the tiered
+  backend overlaps its remote fetches and promotes them in one batch.
 * Byte meters (``bytes_written`` / ``bytes_read`` / ``put_count``) count
   serialized payload bytes exactly; tests and benches assert transfer
   volumes against them, so backends must not double- or under-count.
@@ -190,6 +192,13 @@ class CheckpointBackend(abc.ABC):
         with self._meter_lock:
             self.bytes_read += len(payload)
         return deserialize_entry(payload, copy=copy)
+
+    def get_many(
+        self, keys: Sequence[str], copy: bool = True
+    ) -> List[Dict[str, np.ndarray]]:
+        """Batched form of :meth:`get`: entries in ``keys`` order — the
+        override point for backends that overlap reads across a batch."""
+        return [self.get(key, copy=copy) for key in keys]
 
     @abc.abstractmethod
     def stamp_of(self, key: str) -> int:

@@ -47,15 +47,13 @@ decrefs).  Deletes append the tombstone first, then the decref.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
-import threading
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import jsonl
-from ..io.scheduler import IOLane, QoS, get_scheduler
+from ..io.scheduler import FanOut, IOLane, QoS, get_scheduler
 from ..obs.metrics import get_registry
 from ..obs.trace import span as _span
 from .backend import CheckpointBackend, CrashInjected, KVStoreError
@@ -70,24 +68,7 @@ from .codec import (
 )
 from .serializer import DEFAULT_CHUNK_BYTES, PayloadFrames
 
-# Journal and maintenance instruments on the process-wide registry,
-# labeled per journal ("refs"/"manifests"/"tier") so the shared
-# _JsonlJournal accounts each owner separately.
-_JOURNAL_APPENDS = get_registry().counter(
-    "moc_journal_appends_total",
-    "Journal append calls (batches, not records)",
-    labelnames=("journal",),
-)
-_JOURNAL_RECORDS = get_registry().counter(
-    "moc_journal_records_total",
-    "Records appended to a journal",
-    labelnames=("journal",),
-)
-_JOURNAL_COMPACTIONS = get_registry().counter(
-    "moc_journal_compactions_total",
-    "Journal rewrite (compaction) passes",
-    labelnames=("journal",),
-)
+# Maintenance instruments on the process-wide registry.
 _GC_RUNS = get_registry().counter(
     "moc_dedup_gc_runs_total", "Dedup garbage-collection passes"
 )
@@ -112,137 +93,6 @@ def chunk_payload(payload: bytes, chunk_bytes: int) -> List[bytes]:
 
 def chunk_digest(chunk: bytes) -> str:
     return hashlib.sha256(chunk).hexdigest()
-
-
-class _FanOut:
-    """``[fn(item) for item in items]``, shared between the calling
-    thread and helper tasks on the I/O scheduler.
-
-    Every participant claims the next unclaimed item until none are
-    left, so the caller never waits for a helper that has not started:
-    it works through whatever the helpers have not claimed, then waits
-    only for items a *running* helper holds (helpers still queued are
-    cancelled).  A fan-out started on a scheduler worker — an async
-    drain, a parallel restore fetch — therefore cannot deadlock the
-    pool, however busy it is.  The first exception any item raises is
-    re-raised to the caller once the claimed items have settled.
-    """
-
-    def __init__(self, fn: Callable, items: Sequence) -> None:
-        self.fn = fn
-        self.items = items
-        self.results: List[object] = [None] * len(items)
-        self.error: Optional[BaseException] = None
-        self._claimed = 0
-        self._settled = 0
-        self._cond = threading.Condition()
-
-    def work(self) -> None:
-        while True:
-            with self._cond:
-                if self._claimed == len(self.items) or self.error is not None:
-                    return
-                index = self._claimed
-                self._claimed += 1
-            try:
-                self.results[index] = self.fn(self.items[index])
-            except BaseException as exc:  # noqa: BLE001 - re-raised by run()
-                with self._cond:
-                    if self.error is None:
-                        self.error = exc
-            finally:
-                with self._cond:
-                    self._settled += 1
-                    self._cond.notify_all()
-
-    def run(self, lane: IOLane, qos: QoS) -> List[object]:
-        scheduler = get_scheduler()
-        helpers = [
-            scheduler.submit(self.work, qos, label=lane.name, lane=lane)
-            for _ in range(min(lane.max_concurrency, len(self.items) - 1))
-        ]
-        self.work()
-        for task in helpers:
-            task.cancel()  # no-op unless still queued
-        with self._cond:
-            while self._settled < self._claimed:
-                self._cond.wait()
-        if self.error is not None:
-            raise self.error
-        return self.results
-
-
-class _JsonlJournal:
-    """Append-only JSONL journal shared by refs and manifests.
-
-    Replay truncates a torn tail (a final line without its newline, or
-    one that fails to parse) exactly like the sharded store's index
-    journal, so acknowledged appends always survive the *next* replay
-    too.  ``fault`` is the owner's crash-injection seam; the journal
-    emits ``<name>:mid-append`` (torn-line window) and
-    ``<name>:appended`` points.
-    """
-
-    def __init__(self, path: str, name: str, fault: Callable[[str], None]) -> None:
-        self.path = path
-        self.name = name
-        self._fault = fault
-        self.records = 0  # records currently in the file
-        self.appends = 0  # records appended by this instance
-
-    def replay(self) -> List[dict]:
-        if not os.path.exists(self.path):
-            return []
-        out: List[dict] = []
-        valid_bytes = 0
-        with open(self.path, "rb") as handle:
-            for line in handle:
-                if not line.endswith(b"\n"):
-                    break
-                try:
-                    record = json.loads(line.decode("utf-8"))
-                except (json.JSONDecodeError, UnicodeDecodeError):
-                    break
-                valid_bytes += len(line)
-                out.append(record)
-        if valid_bytes < os.path.getsize(self.path):
-            os.truncate(self.path, valid_bytes)
-        self.records = len(out)
-        return out
-
-    def append(self, records: Sequence[dict]) -> None:
-        if not records:
-            return
-        with _span("journal-append", journal=self.name, records=len(records)):
-            text = "".join(map(jsonl.encode_record, records))
-            with open(self.path, "a", encoding="utf-8") as handle:
-                if len(text) > 1:
-                    # Crash seam: a hook may die between the halves,
-                    # leaving a torn line for replay to truncate.
-                    half = len(text) // 2
-                    handle.write(text[:half])
-                    handle.flush()
-                    self._fault(f"{self.name}:mid-append")
-                    handle.write(text[half:])
-                else:  # pragma: no cover - single-byte record never occurs
-                    handle.write(text)
-        self.records += len(records)
-        self.appends += len(records)
-        _JOURNAL_APPENDS.labels(journal=self.name).inc()
-        _JOURNAL_RECORDS.labels(journal=self.name).inc(len(records))
-        self._fault(f"{self.name}:appended")
-
-    def rewrite(self, records: Sequence[dict]) -> None:
-        """Atomically compact the journal down to ``records``."""
-        with _span("journal-compact", journal=self.name, records=len(records)):
-            tmp = self.path + ".tmp"
-            with open(tmp, "w", encoding="utf-8") as handle:
-                for record in records:
-                    handle.write(jsonl.encode_record(record))
-            self._fault(f"{self.name}:compact-tmp-written")
-            os.replace(tmp, self.path)
-        _JOURNAL_COMPACTIONS.labels(journal=self.name).inc()
-        self.records = len(records)
 
 
 @dataclass(frozen=True)
@@ -319,7 +169,7 @@ class ChunkStore:
         self._fault = fault
         self._shard_dirs_made: set = set()
         self.refs: Dict[str, int] = {}
-        self._journal = _JsonlJournal(os.path.join(root, "refs.jsonl"), "refs", fault)
+        self._journal = jsonl.JsonlJournal(os.path.join(root, "refs.jsonl"), "refs", fault)
         # Meters: physical (novel-chunk) bytes vs dedup hits.  With a
         # chunk codec, ``chunk_bytes_written`` counts *encoded* bytes —
         # it is the physical meter — and ``chunks_encoded`` says how
@@ -613,7 +463,7 @@ class DedupBackend(CheckpointBackend):
                 qos: IOLane(f"dedup-{qos.label}", parallel_workers)
                 for qos in (QoS.SAVE, QoS.RESTORE)
             }
-        self._manifests = _JsonlJournal(
+        self._manifests = jsonl.JsonlJournal(
             os.path.join(root, "manifests.jsonl"), "manifest", self._fault
         )
         self._index: Dict[str, Dict[str, object]] = {}
@@ -675,7 +525,7 @@ class DedupBackend(CheckpointBackend):
         lane = self._lanes.get(qos)
         if lane is None or len(items) < 2:
             return [fn(item) for item in items]
-        return _FanOut(fn, items).run(lane, qos)
+        return FanOut(fn, items).run(lane, qos)
 
     def _map_save(self, fn: Callable, items: Sequence) -> list:
         return self._map(QoS.SAVE, fn, items)

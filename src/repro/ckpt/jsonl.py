@@ -1,4 +1,9 @@
-"""Preformatted JSONL record writers for the journal hot paths.
+"""The append-only JSONL journal and its preformatted record writers.
+
+:class:`JsonlJournal` is the journal the dedup store (refs, manifests)
+and the tiered backend (upload claims, movement history) share:
+torn-tail truncation on replay, crash seams around every append, and
+atomic compaction.
 
 Every persist-tier put appends at least one journal record (the sharded
 store's index line; the dedup store's incref + manifest + decref), so
@@ -20,8 +25,12 @@ corrupting them.
 from __future__ import annotations
 
 import json
+import os
 import re
-from typing import Mapping, Optional, Sequence
+from typing import Callable, List, Mapping, Optional, Sequence
+
+from ..obs.metrics import get_registry
+from ..obs.trace import span as _span
 
 # Anything outside printable ASCII, plus the two characters JSON strings
 # must escape (" and \).  One regex scan decides the fast path.
@@ -155,3 +164,96 @@ def encode_record(record: Mapping[str, object]) -> str:
     if line is None:
         line = json.dumps(record) + "\n"
     return line
+
+
+# Journal instruments on the process-wide registry, labeled per journal
+# ("refs"/"manifest"/"tier") so the shared JsonlJournal accounts each
+# owner separately.
+_JOURNAL_APPENDS = get_registry().counter(
+    "moc_journal_appends_total",
+    "Journal append calls (batches, not records)",
+    labelnames=("journal",),
+)
+_JOURNAL_RECORDS = get_registry().counter(
+    "moc_journal_records_total",
+    "Records appended to a journal",
+    labelnames=("journal",),
+)
+_JOURNAL_COMPACTIONS = get_registry().counter(
+    "moc_journal_compactions_total",
+    "Journal rewrite (compaction) passes",
+    labelnames=("journal",),
+)
+
+
+class JsonlJournal:
+    """Append-only JSONL journal (dedup refs and manifests, tiered claims).
+
+    Replay truncates a torn tail (a final line without its newline, or
+    one that fails to parse) exactly like the sharded store's index
+    journal, so acknowledged appends always survive the *next* replay
+    too.  ``fault`` is the owner's crash-injection seam; the journal
+    emits ``<name>:mid-append`` (torn-line window) and
+    ``<name>:appended`` points.
+    """
+
+    def __init__(self, path: str, name: str, fault: Callable[[str], None]) -> None:
+        self.path = path
+        self.name = name
+        self._fault = fault
+        self.records = 0  # records currently in the file
+        self.appends = 0  # records appended by this instance
+
+    def replay(self) -> List[dict]:
+        if not os.path.exists(self.path):
+            return []
+        out: List[dict] = []
+        valid_bytes = 0
+        with open(self.path, "rb") as handle:
+            for line in handle:
+                if not line.endswith(b"\n"):
+                    break
+                try:
+                    record = json.loads(line.decode("utf-8"))
+                except (json.JSONDecodeError, UnicodeDecodeError):
+                    break
+                valid_bytes += len(line)
+                out.append(record)
+        if valid_bytes < os.path.getsize(self.path):
+            os.truncate(self.path, valid_bytes)
+        self.records = len(out)
+        return out
+
+    def append(self, records: Sequence[dict]) -> None:
+        if not records:
+            return
+        with _span("journal-append", journal=self.name, records=len(records)):
+            text = "".join(map(encode_record, records))
+            with open(self.path, "a", encoding="utf-8") as handle:
+                if len(text) > 1:
+                    # Crash seam: a hook may die between the halves,
+                    # leaving a torn line for replay to truncate.
+                    half = len(text) // 2
+                    handle.write(text[:half])
+                    handle.flush()
+                    self._fault(f"{self.name}:mid-append")
+                    handle.write(text[half:])
+                else:  # pragma: no cover - single-byte record never occurs
+                    handle.write(text)
+        self.records += len(records)
+        self.appends += len(records)
+        _JOURNAL_APPENDS.labels(journal=self.name).inc()
+        _JOURNAL_RECORDS.labels(journal=self.name).inc(len(records))
+        self._fault(f"{self.name}:appended")
+
+    def rewrite(self, records: Sequence[dict]) -> None:
+        """Atomically compact the journal down to ``records``."""
+        with _span("journal-compact", journal=self.name, records=len(records)):
+            tmp = self.path + ".tmp"
+            with open(tmp, "w", encoding="utf-8") as handle:
+                for record in records:
+                    handle.write(encode_record(record))
+            self._fault(f"{self.name}:compact-tmp-written")
+            os.replace(tmp, self.path)
+        _JOURNAL_COMPACTIONS.labels(journal=self.name).inc()
+        self.records = len(records)

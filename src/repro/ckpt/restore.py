@@ -1,4 +1,4 @@
-"""Parallel restore pipeline: worker-pool reads over ``CheckpointBackend.get``.
+"""Restore pipeline: batched or worker-pool reads over the backend contract.
 
 The write path got its async double-buffered pipeline in the backend
 refactor; this is the read-side counterpart.  Recovery — especially the
@@ -23,9 +23,12 @@ writer for *unrelated* keys) — pinned by the concurrent-reader cases in
 ``tests/test_backend_contract.py``.  Byte meters stay exact because the
 backend base class serializes meter updates.
 
-``workers=1`` degenerates to a plain serial loop with no thread-pool
-overhead, which is also the path used when comparing serial vs parallel
-restore wall-clock in ``benchmarks/bench_restore_parallel.py``.
+``workers=1`` is the batched path: each consecutive run of requests
+against one store is handed to ``store.get_many`` in a single call, so
+a backend that can overlap its own reads does (the tiered backend
+fetches a run's remote misses concurrently and promotes them in one
+batch); every other backend loops over ``get``, a plain serial loop.
+It is also the serial side of ``benchmarks/bench_restore_parallel.py``.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -97,7 +101,8 @@ class RestoreStats:
 
 
 class _LaneRecorder:
-    """Accumulates per-read timings during one fetch.
+    """Accumulates per-read timings during one fetch (one record per
+    ``get``, or per ``get_many`` run on the batched path).
 
     Lanes are *virtual concurrency slots*, not thread identities: reads
     now run on the shared I/O scheduler's pooled workers, so one
@@ -111,27 +116,27 @@ class _LaneRecorder:
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._reads: List[Tuple[float, float, int]] = []
+        self._reads: List[Tuple[float, float, int, int]] = []
 
-    def record(self, start: float, end: float, nbytes: int) -> None:
+    def record(self, start: float, end: float, nbytes: int, entries: int = 1) -> None:
         with self._lock:
-            self._reads.append((start, end, nbytes))
+            self._reads.append((start, end, nbytes, entries))
 
     def profile(self) -> RestoreProfile:
         with self._lock:
             ordered = sorted(self._reads)
         # [entries, bytes, busy, first_start, last_end] per virtual lane.
         slots: List[List[float]] = []
-        for start, end, nbytes in ordered:
+        for start, end, nbytes, entries in ordered:
             best = None
             for index, slot in enumerate(slots):
                 if slot[4] <= start and (best is None or slot[4] > slots[best][4]):
                     best = index
             if best is None:
-                slots.append([1.0, float(nbytes), end - start, start, end])
+                slots.append([float(entries), float(nbytes), end - start, start, end])
             else:
                 slot = slots[best]
-                slot[0] += 1
+                slot[0] += entries
                 slot[1] += nbytes
                 slot[2] += end - start
                 slot[4] = max(slot[4], end)
@@ -150,7 +155,11 @@ class _LaneRecorder:
 
 
 class ParallelRestorer:
-    """Fetch checkpoint entries through a bounded reader pool.
+    """Fetch checkpoint entries in batches or through a bounded reader pool.
+
+    ``workers=1`` hands each consecutive same-store run of requests to
+    ``store.get_many`` (one ``restore-read`` span per run); ``workers>1``
+    reads entry by entry on up to ``workers`` scheduler threads.
 
     ``copy=False`` decodes entries as zero-copy ``frombuffer`` views
     over the read payloads — no per-field allocation on the restore
@@ -202,13 +211,20 @@ class ParallelRestorer:
             recorder.record(start, time.perf_counter(), nbytes)
             return entry, nbytes
 
+        def pull_run(store: CheckpointBackend, keys: List[str]) -> int:
+            start = time.perf_counter()
+            nbytes = sum(store.nbytes_of(key) for key in keys)
+            with _span("restore-read", entries=len(keys), nbytes=nbytes):
+                entries.update(zip(keys, store.get_many(keys, copy=self.copy)))
+            recorder.record(start, time.perf_counter(), nbytes, len(keys))
+            return nbytes
+
         begin = time.perf_counter()
         entries: Dict[str, Dict[str, np.ndarray]] = {}
         payload_bytes = 0
         if self.workers == 1 or len(request_list) <= 1:
-            for request in request_list:
-                entries[request.key], nbytes = pull(request)
-                payload_bytes += nbytes
+            for store, run in groupby(request_list, key=lambda request: request.store):
+                payload_bytes += pull_run(store, [request.key for request in run])
         else:
             scheduler = self._scheduler if self._scheduler is not None else get_scheduler()
             lane = scheduler.lane(f"restore-{id(self):x}", self.workers)

@@ -11,7 +11,7 @@ existing backends:
   tier with retry / per-upload timeout / exponential backoff.  Training
   never waits on remote latency.
 * **Crash-consistent promotion/demotion journal** (``tier.jsonl``,
-  reusing the dedup engine's :class:`~repro.ckpt.dedup._JsonlJournal`
+  reusing the shared :class:`~repro.ckpt.jsonl.JsonlJournal`
   torn-tail discipline).  The ordering is leak-only, mirroring the
   dedup engine's: the ``up`` record claiming a remote copy is appended
   strictly *after* the remote put returns, and local eviction happens
@@ -27,6 +27,11 @@ existing backends:
   :class:`RemoteUnavailable` faults with the same backoff policy as
   uploads, and (by default) promote the payload back into the local
   tier.
+* **Batched recovery reads.**  ``get_many`` fetches every local miss of
+  a batch at once — the caller and ``RESTORE``-class helper tasks share
+  the retrying remote reads through :class:`~repro.io.scheduler.FanOut`
+  and duplicate stragglers at the batch tail — then promotes them with
+  one local batch put and one journal append.
 * **Per-tier retention.**  ``local_keep_stamps=k`` keeps the newest k
   stamps locally and every stamp remote: ``flush()`` demotes older,
   remote-durable entries (journal record first, local delete second).
@@ -48,7 +53,10 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from ..io.scheduler import (
+    FanOut,
     IOLane,
     IOScheduler,
     IOTaskCancelled,
@@ -59,7 +67,8 @@ from ..io.scheduler import (
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import span as _span
 from .backend import CheckpointBackend, CrashInjected, KVStoreError, Payload
-from .dedup import _JsonlJournal
+from .jsonl import JsonlJournal
+from .serializer import deserialize_entry
 
 
 class RemoteUnavailable(RuntimeError):
@@ -360,7 +369,7 @@ class TieredBackend(CheckpointBackend):
         # see _upload_once).
         self._state_lock = threading.RLock()
         self._cond = threading.Condition(self._state_lock)
-        self._journal = _JsonlJournal(journal_path, "tier", self._fault)
+        self._journal = JsonlJournal(journal_path, "tier", self._fault)
         #: key -> (stamp, nbytes) claimed durable on the remote tier.
         self._remote_claims: Dict[str, Tuple[int, int]] = {}
         #: Keys sitting in the upload queue (dedupe) / being uploaded.
@@ -801,31 +810,97 @@ class TieredBackend(CheckpointBackend):
             return self.local._read(key)
         except KVStoreError:
             pass
+        stamp = self._claimed_stamp(key)
+        payload = self._remote_read(key)
+        if self.promote_on_read:
+            self._promote([(key, payload, stamp)])
+        return payload
+
+    def get_many(
+        self, keys: Sequence[str], copy: bool = True
+    ) -> List[Dict[str, np.ndarray]]:
+        """Batched read: local hits come straight from the local tier;
+        every local miss is fetched at once (see
+        :meth:`_remote_read_many`) and the fetched payloads are promoted
+        with one local batch put and one ``promote`` journal append.  A
+        key that is neither local nor claimed raises before any remote
+        read starts."""
+        payloads: Dict[str, bytes] = {}
+        stamps: Dict[str, int] = {}
+        for key in keys:
+            try:
+                payloads[key] = self.local._read(key)
+            except KVStoreError:
+                stamps[key] = self._claimed_stamp(key)
+        misses = list(stamps)
+        if misses:
+            payloads.update(zip(misses, self._remote_read_many(misses)))
+            if self.promote_on_read:
+                self._promote([(key, payloads[key], stamps[key]) for key in misses])
+        ordered = [payloads[key] for key in keys]
+        with self._meter_lock:
+            self.bytes_read += sum(map(len, ordered))
+        return [deserialize_entry(payload, copy=copy) for payload in ordered]
+
+    def _claimed_stamp(self, key: str) -> int:
         with self._state_lock:
             claim = self._remote_claims.get(key)
         if claim is None:
             raise KVStoreError(key)
-        payload = self._remote_read(key)
-        if self.promote_on_read:
-            self._promote(key, payload, claim[0])
-        return payload
+        return claim[0]
 
-    def _promote(self, key: str, payload: bytes, stamp: int) -> None:
-        """Best-effort read-through promotion back into the local tier."""
+    def _promote(self, items: Sequence[Tuple[str, bytes, int]]) -> None:
+        """Best-effort read-through promotion back into the local tier:
+        one local batch put, then one ``promote`` journal append, on the
+        calling thread (so its crash seams stay there too)."""
         try:
-            with _span("promote", key=key, stamp=stamp):
-                self.local.put_serialized(key, payload, stamp)
+            with _span("promote", entries=len(items)):
+                self.local.put_many_serialized(
+                    [(key, payload, stamp, 0) for key, payload, stamp in items]
+                )
                 with self._state_lock:
                     self._journal.append(
-                        [{"op": "promote", "key": key, "stamp": stamp}]
+                        [{"op": "promote", "key": key, "stamp": stamp}
+                         for key, _payload, stamp in items]
                     )
-            self._c_promotions.inc()
+            self._c_promotions.inc(len(items))
         except CrashInjected:
             raise
         except Exception:  # pragma: no cover - promotion must never fail a read
             pass
 
-    def _remote_read(self, key: str) -> bytes:
+    def _remote_read_many(self, keys: List[str]) -> List[bytes]:
+        """Remote payloads for ``keys``, in order, with the reads
+        overlapped: the calling thread and up to one helper task per
+        scheduler worker (``RESTORE`` class) share the keys, each
+        running :meth:`_remote_read`'s retry loop straight against the
+        remote.  The hedge moves to the batch tail: once no key is left
+        to claim, a participant duplicates any read still unsettled
+        ``hedge_after_seconds`` after it was claimed, and the first
+        success wins.  A lone key takes the single-read path, whose
+        hedge is a racing second request."""
+        if len(keys) == 1:
+            return [self._remote_read(keys[0])]
+        scheduler = self._io_scheduler()
+        # A fresh lane per batch: a dropped straggler still finishing
+        # from an earlier batch never holds one of this batch's slots.
+        lane = IOLane(f"tier-restore-{id(self):x}", scheduler.workers)
+        fan = FanOut(
+            lambda key: self._remote_read(key, hedged=False),
+            keys,
+            hedge_after=self.hedge_after_seconds,
+        )
+        try:
+            with _span("remote-read-batch", entries=len(keys)):
+                return fan.run(lane, QoS.RESTORE, scheduler)
+        finally:
+            self._c_hedged_reads.inc(fan.hedges)
+
+    def _remote_read(self, key: str, hedged: bool = True) -> bytes:
+        """Read ``key`` remotely, retrying transient faults with the
+        upload backoff policy.  ``hedged`` races a second request on
+        each attempt that outlives ``hedge_after_seconds`` (the
+        single-read path; batches hedge at their tail instead)."""
         last_error: Optional[Exception] = None
         delay: Optional[float] = None
         for attempt in range(self.remote_read_retries + 1):
@@ -837,7 +912,7 @@ class TieredBackend(CheckpointBackend):
             try:
                 self._c_remote_reads.inc()
                 with _span("remote-read", key=key, attempt=attempt):
-                    if self.hedge_after_seconds is not None:
+                    if hedged and self.hedge_after_seconds is not None:
                         return self._remote_read_hedged(key)
                     return self.remote._read(key)
             except (RemoteUnavailable, OSError) as exc:

@@ -43,6 +43,10 @@ pool and a single admission point:
   executes other queued tasks while it waits, so nested waits (a
   restore task whose hedged read submits two more tasks) cannot
   deadlock a bounded pool.
+* **Fan-out** (:class:`FanOut`): ``[fn(item) for item in items]``
+  shared between the calling thread and up to a lane's width of helper
+  tasks — the one fan-out primitive (dedup chunk codec, tiered batch
+  reads), optionally duplicating stragglers past a hedge threshold.
 * **Observability**: per-class depth/bytes/latency series on the
   process metrics registry (``moc_io_*``), ``io-task`` spans on the
   tracer, and an ``iosched-budget-wait`` span around every blocked
@@ -70,6 +74,7 @@ from ..obs.trace import span as _span
 __all__ = [
     "DEFAULT_IO_BYTE_BUDGET",
     "DEFAULT_IO_WORKERS",
+    "FanOut",
     "IOLane",
     "IOScheduler",
     "IOTask",
@@ -736,6 +741,131 @@ class IOScheduler:
 
     def __exit__(self, *exc_info) -> None:
         self.shutdown()
+
+
+class FanOut:
+    """``[fn(item) for item in items]``, shared between the calling
+    thread and helper tasks on the I/O scheduler.
+
+    Every participant claims the next unclaimed item until none are
+    left, so the caller never waits for a helper that has not started:
+    it works through whatever the helpers have not claimed, then waits
+    only for items a *running* helper holds (helpers still queued are
+    cancelled).  A fan-out started on a scheduler worker — an async
+    drain, a parallel restore fetch — therefore cannot deadlock the
+    pool, however busy it is.  The first exception any item raises is
+    re-raised to the caller once the claimed items have settled.
+
+    ``hedge_after`` (seconds) duplicates stragglers, for an idempotent
+    ``fn`` such as a remote read: a participant with nothing left to
+    claim stays for the batch tail and calls ``fn`` a second time on
+    any item still unsettled ``hedge_after`` after it was claimed (at
+    most one duplicate per item, oldest first).  The first success
+    settles the item and a slower call's result is dropped; an item
+    fails only once every call on it has failed.  ``hedges`` counts
+    the duplicates.
+    """
+
+    def __init__(
+        self, fn: Callable, items: Sequence, hedge_after: Optional[float] = None
+    ) -> None:
+        self.fn = fn
+        self.items = items
+        self.hedge_after = hedge_after
+        self.results: List[object] = [None] * len(items)
+        self.error: Optional[BaseException] = None
+        self.hedges = 0
+        self._claimed = 0
+        self._settled = 0
+        # Hedge bookkeeping (untouched without ``hedge_after``, so the
+        # codec fan-out's per-chunk cost stays a claim and a settle):
+        #: claimed, unsettled item -> claim time, in claim order;
+        self._open: Dict[int, float] = {}
+        #: item -> calls on it still running.
+        self._calls: Dict[int, int] = {}
+        self._hedged: set = set()
+        self._cond = threading.Condition()
+
+    def _next_locked(self) -> Tuple[Optional[int], Optional[float]]:
+        """The next item to call ``fn`` on; when there is none yet, the
+        seconds until a straggler falls due (``None``: nothing to do)."""
+        if self.error is not None:
+            return None, None
+        if self._claimed < len(self.items):
+            index = self._claimed
+            self._claimed += 1
+            if self.hedge_after is not None:
+                self._open[index] = time.monotonic()
+                self._calls[index] = 1
+            return index, None
+        if self.hedge_after is None:
+            return None, None
+        now = time.monotonic()
+        due: Optional[float] = None
+        for index, claimed_at in self._open.items():
+            if index in self._hedged:
+                continue
+            wait = claimed_at + self.hedge_after - now
+            if wait <= 0:
+                self._hedged.add(index)
+                self._calls[index] += 1
+                self.hedges += 1
+                return index, None
+            due = wait if due is None else min(due, wait)
+        return None, due
+
+    def work(self) -> None:
+        while True:
+            with self._cond:
+                index, due = self._next_locked()
+                while index is None:
+                    if due is None:
+                        return
+                    self._cond.wait(due)
+                    index, due = self._next_locked()
+            try:
+                value = self.fn(self.items[index])
+            except BaseException as exc:  # noqa: BLE001 - re-raised by run()
+                self._settle(index, None, exc)
+            else:
+                self._settle(index, value, None)
+
+    def _settle(self, index: int, value, error: Optional[BaseException]) -> None:
+        with self._cond:
+            if self.hedge_after is not None:
+                self._calls[index] -= 1
+                if index not in self._open:
+                    return  # a faster call already settled this item
+                if error is not None and self._calls[index]:
+                    return  # the duplicate may still succeed
+                del self._open[index]
+            if error is None:
+                self.results[index] = value
+            elif self.error is None:
+                self.error = error
+            self._settled += 1
+            self._cond.notify_all()
+
+    def run(
+        self, lane: IOLane, qos: QoS, scheduler: Optional[IOScheduler] = None
+    ) -> List[object]:
+        """Fan out on ``lane`` (helpers: its width, at most one fewer
+        than the items) and return the results in item order."""
+        if scheduler is None:
+            scheduler = get_scheduler()
+        helpers = [
+            scheduler.submit(self.work, qos, label=lane.name, lane=lane)
+            for _ in range(min(lane.max_concurrency, len(self.items) - 1))
+        ]
+        self.work()
+        for task in helpers:
+            task.cancel()  # no-op unless still queued
+        with self._cond:
+            while self._settled < self._claimed:
+                self._cond.wait()
+        if self.error is not None:
+            raise self.error
+        return self.results
 
 
 # -- process-wide default -----------------------------------------------

@@ -10,6 +10,9 @@ and in ``test_dedup.py``.
 
 from __future__ import annotations
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -17,16 +20,20 @@ from repro.ckpt import (
     AsyncWriteBackend,
     AsyncWriteError,
     CheckpointBackend,
+    CrashInjected,
     DedupBackend,
     DiskKVStore,
     InMemoryKVStore,
     KVStoreError,
     ShardedDiskKVStore,
+    SimulatedObjectStore,
+    TieredBackend,
     escape_key,
     make_backend,
     open_tiered_root,
     unescape_key,
 )
+from repro.io.scheduler import IOScheduler
 
 BACKENDS = [
     "memory", "disk", "sharded", "dedup", "async", "async-dedup",
@@ -127,6 +134,38 @@ class TestContract:
         store.flush()
         store.flush()
         assert store.has("k")
+
+    def test_get_many_returns_entries_in_key_order(self, store):
+        for i in range(6):
+            store.put(f"k{i}", {"x": np.full(i + 1, float(i))}, stamp=i)
+        order = ["k4", "k0", "k5", "k2", "k1", "k3"]
+        got = store.get_many(order)
+        assert len(got) == len(order)
+        for key, value in zip(order, got):
+            index = int(key[1:])
+            assert np.array_equal(value["x"], np.full(index + 1, float(index)))
+
+    def test_get_many_missing_key_raises(self, store):
+        store.put("present", {"x": np.ones(2)}, stamp=0)
+        with pytest.raises(KVStoreError):
+            store.get_many(["present", "nope"])
+
+    def test_get_many_meters_exact_bytes(self, store):
+        sizes = [store.put(f"k{i}", {"x": np.ones(4 * (i + 1))}, stamp=1) for i in range(5)]
+        store.flush()
+        before = store.bytes_read
+        store.get_many([f"k{i}" for i in range(5)])
+        assert store.bytes_read - before == sum(sizes)
+
+    def test_get_many_copy_false_returns_read_only_views(self, store):
+        store.put("a", {"x": np.arange(4.0)}, stamp=1)
+        store.put("b", {"x": np.arange(8.0)}, stamp=1)
+        views = store.get_many(["a", "b"], copy=False)
+        assert np.array_equal(views[0]["x"], np.arange(4.0))
+        assert np.array_equal(views[1]["x"], np.arange(8.0))
+        assert not any(view["x"].flags.writeable for view in views)
+        copies = store.get_many(["a", "b"])
+        assert all(copy["x"].flags.writeable for copy in copies)
 
 
 class TestConcurrentReaders:
@@ -234,6 +273,42 @@ class TestConcurrentReaders:
         for i in range(24):
             assert np.array_equal(entries[f"k{i}"]["x"], np.full(3, float(i)))
 
+    def test_serial_restorer_batches_each_store_run(self, store):
+        from repro.ckpt import ParallelRestorer, ReadRequest
+
+        snapshots = InMemoryKVStore()
+        for i in range(6):
+            snapshots.put(f"m{i}", {"x": np.full(2, float(i))}, stamp=i)
+            store.put(f"k{i}", {"x": np.full(3, float(i))}, stamp=i)
+        store.flush()
+        batches = []
+        for target in (store, snapshots):
+            inner_get_many = target.get_many
+
+            def spy(keys, copy=True, inner_get_many=inner_get_many):
+                batches.append(list(keys))
+                return inner_get_many(keys, copy=copy)
+
+            target.get_many = spy
+        # Three runs: two persist entries, three snapshots, one persist.
+        requests = (
+            [ReadRequest(key=f"k{i}", store=store) for i in (0, 1)]
+            + [ReadRequest(key=f"m{i}", store=snapshots) for i in (0, 1, 2)]
+            + [ReadRequest(key="k5", store=store)]
+        )
+        entries, stats = ParallelRestorer(workers=1).fetch(requests)
+        assert batches == [["k0", "k1"], ["m0", "m1", "m2"], ["k5"]]
+        assert stats.entries == 6
+        assert stats.payload_bytes == (
+            sum(store.nbytes_of(k) for k in ("k0", "k1", "k5"))
+            + sum(snapshots.nbytes_of(f"m{i}") for i in range(3))
+        )
+        assert len(stats.profile.lanes) == 1
+        assert stats.profile.lanes[0].entries == 6
+        assert stats.profile.lanes[0].payload_bytes == stats.payload_bytes
+        assert np.array_equal(entries["k5"]["x"], np.full(3, 5.0))
+        assert np.array_equal(entries["m2"]["x"], np.full(2, 2.0))
+
     def test_restorer_propagates_missing_key(self, store):
         from repro.ckpt import ParallelRestorer, ReadRequest
 
@@ -250,6 +325,166 @@ class TestConcurrentReaders:
 
         with pytest.raises(ValueError):
             ParallelRestorer(workers=0)
+
+
+class TestTieredGetMany:
+    """The tiered ``get_many`` override: a batch's remote misses are
+    read concurrently and promoted with one batch put and one journal
+    append, without moving any crash seam off the calling thread."""
+
+    def open(self, root, latency=0.0, fault_rate=0.0, scheduler=None, **kwargs):
+        kwargs.setdefault("upload_workers", 0)
+        kwargs.setdefault("local_keep_stamps", 1)
+        remote = SimulatedObjectStore(
+            ShardedDiskKVStore(str(root / "remote")),
+            latency_seconds=latency, fault_rate=fault_rate, seed=11,
+        )
+        return TieredBackend(
+            DedupBackend(str(root / "local")), remote, str(root / "tier.jsonl"),
+            scheduler=scheduler, **kwargs,
+        )
+
+    @staticmethod
+    def value(index: int) -> np.ndarray:
+        return np.full(64, float(index))
+
+    def demote(self, store, count: int = 8):
+        """Write ``count`` stamp-1 keys, then a stamp-2 key so retention
+        demotes them; gc drops their local chunks, so promotion has to
+        write chunks again."""
+        keys = [f"old{i}" for i in range(count)]
+        for index, key in enumerate(keys):
+            store.put(key, {"x": self.value(index)}, stamp=1)
+        store.put("new", {"x": np.ones(4)}, stamp=2)
+        store.flush()
+        store.gc()
+        assert not any(store.local.has(key) for key in keys)
+        return keys
+
+    def assert_exact(self, keys, entries):
+        assert len(entries) == len(keys)
+        for index, got in enumerate(entries):
+            assert np.array_equal(got["x"], self.value(index)), keys[index]
+
+    def test_remote_misses_overlap(self, tmp_path):
+        latency = 0.05
+        with IOScheduler(workers=2, name="test-tier-batch") as scheduler:
+            store = self.open(tmp_path, latency=latency, scheduler=scheduler)
+            try:
+                keys = self.demote(store)
+                begin = time.perf_counter()
+                entries = store.get_many(keys)
+                wall = time.perf_counter() - begin
+                assert store.remote_reads == len(keys)
+                assert store.hedged_reads == 0
+            finally:
+                store.close()
+        self.assert_exact(keys, entries)
+        serial = latency * len(keys)
+        # The caller and two helpers keep about three reads in flight.
+        assert wall < 0.6 * serial, (wall, serial)
+
+    def test_batch_makes_one_promote_append_and_one_dedup_batch(self, tmp_path):
+        store = self.open(tmp_path)
+        try:
+            keys = self.demote(store)
+            calls = {"tier": [], "manifest": [], "local-batch": []}
+            for owner, name, label in (
+                (store._journal, "append", "tier"),
+                (store.local._manifests, "append", "manifest"),
+                (store.local, "put_many_serialized", "local-batch"),
+            ):
+                inner = getattr(owner, name)
+
+                def spy(batch, inner=inner, label=label):
+                    calls[label].append(list(batch))
+                    return inner(batch)
+
+                setattr(owner, name, spy)
+            self.assert_exact(keys, store.get_many(keys))
+            assert [[record["op"] for record in batch] for batch in calls["tier"]] == [
+                ["promote"] * len(keys)
+            ]
+            assert [len(batch) for batch in calls["local-batch"]] == [len(keys)]
+            assert [len(batch) for batch in calls["manifest"]] == [len(keys)]
+            assert store.promotions == len(keys)
+            assert all(store.local.has(key) for key in keys)
+        finally:
+            store.close()
+
+    def test_faulty_remote_stays_bit_exact_and_retries(self, tmp_path):
+        store = self.open(
+            tmp_path, fault_rate=0.3, remote_read_retries=8,
+            upload_max_retries=16, backoff_base_seconds=0.001,
+            backoff_max_seconds=0.01,
+        )
+        try:
+            keys = self.demote(store, count=24)
+            self.assert_exact(keys, store.get_many(keys))
+            assert store.read_retries > 0
+            assert store.remote_reads == len(keys) + store.read_retries
+            assert store.fsck().ok
+        finally:
+            store.close()
+
+    @pytest.mark.parametrize("point", [
+        "chunk:tmp-written", "chunk:durable", "refs:mid-append",
+        "manifest:mid-append", "manifest:appended", "tier:mid-append",
+        "tier:appended",
+    ])
+    def test_crash_during_batch_promotion_reopens_fsck_clean(self, tmp_path, point):
+        store = self.open(tmp_path)
+        keys = self.demote(store)
+        hits = []
+
+        def hook(hit: str) -> None:
+            if hit == point and not hits:
+                hits.append(hit)
+                raise CrashInjected(point)
+
+        store.fault_hook = hook
+        with pytest.raises(CrashInjected):
+            store.get_many(keys)
+        # The process died mid-promotion: abandon the instance, reopen.
+        reopened = self.open(tmp_path)
+        try:
+            report = reopened.fsck()
+            assert report.ok, report.errors
+            assert sorted(reopened.keys()) == sorted(keys + ["new"])
+            self.assert_exact(keys, reopened.get_many(keys))
+            reopened.fsck(repair=True)
+            reopened.flush()
+            reopened.gc()
+            final = reopened.fsck()
+            assert final.ok and not final.warnings, final.warnings
+        finally:
+            reopened.close()
+
+    def test_crash_seams_fire_on_the_calling_thread(self, tmp_path):
+        with IOScheduler(workers=2, name="test-tier-seams") as scheduler:
+            store = self.open(tmp_path, latency=0.01, scheduler=scheduler)
+            try:
+                keys = self.demote(store)
+                seams, readers = [], set()
+                store.fault_hook = lambda point: seams.append(
+                    (point, threading.get_ident())
+                )
+                read = store.remote._read
+
+                def traced_read(key):
+                    readers.add(threading.get_ident())
+                    return read(key)
+
+                store.remote._read = traced_read
+                self.assert_exact(keys, store.get_many(keys))
+            finally:
+                store.close()
+        caller = threading.get_ident()
+        assert readers - {caller}, "no read ran on a helper"
+        assert {"chunk:durable", "manifest:appended", "tier:appended"} <= {
+            point for point, _ in seams
+        }
+        assert {ident for _, ident in seams} == {caller}
 
 
 class TestEscaping:

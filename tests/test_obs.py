@@ -474,6 +474,35 @@ class TestStorageIntegration:
         assert len(stats.profile.lanes) == 1
         assert stats.profile.lanes[0].entries == 1
 
+    def test_serial_restore_traces_one_read_span_per_store_run(self, tmp_path):
+        first = DedupBackend(str(tmp_path / "a"))
+        second = ShardedDiskKVStore(str(tmp_path / "b"))
+        for i in range(3):
+            first.put(f"a{i}", entry(float(i)), stamp=1)
+            second.put(f"b{i}", entry(float(i), size=32), stamp=1)
+        requests = (
+            [ReadRequest(key=f"a{i}", store=first) for i in range(3)]
+            + [ReadRequest(key=f"b{i}", store=second) for i in range(2)]
+        )
+        tracer = get_tracer()
+        tracer.reset()
+        tracer.enable()
+        try:
+            _, stats = ParallelRestorer(workers=1).fetch(requests)
+            trace = tracer.export()
+        finally:
+            tracer.disable()
+            tracer.reset()
+        reads = [
+            event["args"] for event in trace["traceEvents"]
+            if event["name"] == "restore-read" and event["ph"] == "B"
+        ]
+        assert reads == [
+            {"entries": 3, "nbytes": sum(first.nbytes_of(f"a{i}") for i in range(3))},
+            {"entries": 2, "nbytes": sum(second.nbytes_of(f"b{i}") for i in range(2))},
+        ]
+        assert stats.payload_bytes == sum(read["nbytes"] for read in reads)
+
 
 # ----------------------------------------------------------------------
 # End-to-end: traced save/recover covers the hot seams

@@ -22,6 +22,7 @@ from __future__ import annotations
 import multiprocessing
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -37,9 +38,8 @@ from repro.ckpt import (
     make_chunk_codec,
     serialize_entry,
 )
-from repro.ckpt.dedup import _FanOut
 from repro.core import MoCCheckpointManager, MoCConfig, PECConfig, TwoLevelConfig
-from repro.io.scheduler import IOLane, QoS, get_scheduler
+from repro.io.scheduler import FanOut, IOLane, QoS, get_scheduler
 from repro.testing import TINY, random_entry, seeded_rng, tiny_model_and_optimizer
 
 WORKERS = 2
@@ -105,7 +105,7 @@ class TestFanOut:
 
     def test_results_keep_item_order(self):
         items = list(range(50))
-        assert _FanOut(lambda x: x * x, items).run(self.lane(), QoS.SAVE) == [
+        assert FanOut(lambda x: x * x, items).run(self.lane(), QoS.SAVE) == [
             x * x for x in items
         ]
 
@@ -118,7 +118,7 @@ class TestFanOut:
             on_worker.append(scheduler.is_worker_thread())
             return item
 
-        assert _FanOut(slow, list(range(8))).run(self.lane(), QoS.SAVE) == list(range(8))
+        assert FanOut(slow, list(range(8))).run(self.lane(), QoS.SAVE) == list(range(8))
         assert any(on_worker) and not all(on_worker)  # caller + helpers
 
     def test_first_error_is_reraised_after_claimed_items_settle(self):
@@ -131,7 +131,7 @@ class TestFanOut:
             return item
 
         with pytest.raises(ValueError, match="bad chunk"):
-            _FanOut(fn, list(range(20))).run(self.lane(), QoS.SAVE)
+            FanOut(fn, list(range(20))).run(self.lane(), QoS.SAVE)
         assert 3 not in settled
 
     def test_caller_finishes_alone_when_every_worker_is_busy(self):
@@ -162,7 +162,7 @@ class TestFanOut:
                 return -item
 
             got = run_with_watchdog(
-                lambda: _FanOut(fn, list(range(10))).run(self.lane(), QoS.SAVE)
+                lambda: FanOut(fn, list(range(10))).run(self.lane(), QoS.SAVE)
             )
             assert got == [-x for x in range(10)]
             assert not any(on_worker)
@@ -172,12 +172,53 @@ class TestFanOut:
             for task in blockers:
                 task.result(timeout=WATCHDOG_SECONDS)
 
+    def test_hedge_duplicates_a_straggler_and_first_success_wins(self):
+        """A helper's stalled call is duplicated at the tail; the batch
+        returns the duplicate's result without waiting for the stall."""
+        scheduler = get_scheduler()
+        stalled, release = threading.Event(), threading.Event()
+
+        def fn(item):
+            if scheduler.is_worker_thread() and not stalled.is_set():
+                stalled.set()
+                release.wait(WATCHDOG_SECONDS)
+                return "late"
+            time.sleep(0.01)
+            return item
+
+        fan = FanOut(fn, list(range(6)), hedge_after=0.1)
+        try:
+            # Returns while the stalled call is still blocked: had the
+            # batch waited for it, the watchdog would fail the test.
+            got = run_with_watchdog(lambda: fan.run(self.lane(), QoS.RESTORE))
+        finally:
+            release.set()
+        assert stalled.is_set()
+        assert got == list(range(6))
+        assert fan.hedges >= 1
+
+    def test_hedged_item_fails_only_when_every_call_failed(self):
+        scheduler = get_scheduler()
+        first = threading.Event()
+
+        def fn(item):
+            if scheduler.is_worker_thread() and not first.is_set():
+                first.set()
+                time.sleep(0.1)
+                raise ValueError("slow call failed")
+            time.sleep(0.02)
+            return item
+
+        fan = FanOut(fn, list(range(4)), hedge_after=0.02)
+        assert run_with_watchdog(lambda: fan.run(self.lane(), QoS.RESTORE)) == [0, 1, 2, 3]
+        assert first.is_set() and fan.hedges >= 1
+
     def test_nested_fan_outs_from_scheduler_workers_finish(self):
         scheduler = get_scheduler()
         lane = self.lane()
 
         def outer(seed):
-            return sum(_FanOut(lambda x: x + seed, list(range(16))).run(lane, QoS.RESTORE))
+            return sum(FanOut(lambda x: x + seed, list(range(16))).run(lane, QoS.RESTORE))
 
         tasks = [
             scheduler.submit(lambda s=seed: outer(s), QoS.RESTORE, label="test-outer")
@@ -210,9 +251,28 @@ class TestStress:
 
         for _ in range(20):
             seen.clear()
-            got = run_with_watchdog(lambda: _FanOut(fn, list(range(200))).run(lane, QoS.SAVE))
+            got = run_with_watchdog(lambda: FanOut(fn, list(range(200))).run(lane, QoS.SAVE))
             assert got == list(range(200))
             assert sorted(seen) == list(range(200))
+
+    def test_hedged_items_settle_once_with_their_own_result(self):
+        """``hedge_after=0``: every item still open at the tail gets a
+        duplicate, so settle races between two calls of one item."""
+        seen = []
+        lane = IOLane("test-stress-hedge", 8)
+
+        def fn(item):
+            seen.append(item)
+            return item
+
+        for _ in range(20):
+            seen.clear()
+            fan = FanOut(fn, list(range(200)), hedge_after=0.0)
+            got = run_with_watchdog(lambda: fan.run(lane, QoS.RESTORE))
+            assert got == list(range(200))
+            assert fan.hedges <= 200
+            counts = np.bincount(seen, minlength=200)
+            assert counts.min() >= 1 and counts.max() <= 2
 
     def test_codec_stats_and_meters_stay_exact(self, tmp_path):
         threaded = open_store(tmp_path / "t", parallel_workers=8, chunk_bytes=128)

@@ -33,6 +33,7 @@ from repro.ckpt import (
     open_tiered_root,
     prune_stale_entries,
 )
+from repro.io.scheduler import IOScheduler
 
 
 def entry(value: float, size: int = 16) -> dict:
@@ -296,6 +297,58 @@ class TestRetentionAndReads:
             assert store.tier_stats()["hedged_reads"] == 1
         finally:
             store.close()
+
+    @pytest.mark.parametrize("hedge", [0.2, None])
+    def test_batch_straggler_is_hedged_at_the_tail(self, tmp_path, hedge):
+        """One slow read in a batch of demoted keys gets a duplicate once
+        it has run ``hedge_after_seconds``; the first success wins, so
+        the batch finishes in about the threshold plus one fast read
+        instead of waiting the straggler out (``None``: the control, no
+        hedge, the batch waits).  The stall is placed on a helper
+        thread: a read the calling thread runs itself cannot be
+        abandoned, only duplicated."""
+        stall, latency = 1.0, 0.02
+        stalled, lock = threading.Event(), threading.Lock()
+        scheduler = IOScheduler(workers=2, name="test-tier-straggler")
+
+        class SlowOnce(ShardedDiskKVStore):
+            def _read(self, key):
+                with lock:
+                    first = scheduler.is_worker_thread() and not stalled.is_set()
+                    if first:
+                        stalled.set()
+                time.sleep(stall if first else latency)
+                return super()._read(key)
+
+        store = TieredBackend(
+            DedupBackend(str(tmp_path / "local")),
+            SlowOnce(str(tmp_path / "remote")),
+            str(tmp_path / "tier.jsonl"),
+            upload_workers=0, local_keep_stamps=1,
+            hedge_after_seconds=hedge, scheduler=scheduler,
+        )
+        try:
+            keys = [f"k{i}" for i in range(6)]
+            for index, key in enumerate(keys):
+                store.put(key, entry(float(index)), stamp=1)
+            store.put("new", entry(-1.0), stamp=2)
+            store.flush()
+            assert not any(store.local.has(key) for key in keys)
+            begin = time.perf_counter()
+            got = store.get_many(keys)
+            wall = time.perf_counter() - begin
+            for index, value in enumerate(got):
+                assert np.array_equal(value["x"], entry(float(index))["x"])
+            assert stalled.is_set()
+            if hedge is None:
+                assert wall >= stall
+                assert store.hedged_reads == 0
+            else:
+                assert wall < hedge + 0.35, wall
+                assert store.hedged_reads == 1
+        finally:
+            store.close()
+            scheduler.shutdown()
 
     def test_remote_read_retries_then_raises_typed_error(self, tmp_path):
         class DeadRemote(ShardedDiskKVStore):
