@@ -1,8 +1,11 @@
 """Chunk codec fan-out benchmark: measured save and restore wall time.
 
-With a chunk codec enabled, a dedup save spends most of its time in
-``zlib`` (tens of MB/s at level 1 on float payloads) and a restore in
-decompression.  ``DedupBackend(parallel_workers=N)`` shares that
+With a chunk codec enabled, a dedup save spends much of its time in
+``zlib`` and a restore in decompression.  On whole fp64 chunks zlib
+level 1 runs at only about 23 MB/s; the byte-plane frame feeds it just
+the low-entropy planes (a quarter or less of each chunk on fp64 data),
+but the codec is still the largest per-chunk cost of a save.
+``DedupBackend(parallel_workers=N)`` shares that
 per-chunk work between the calling thread and up to N helper tasks on
 the I/O scheduler's threads; ``zlib`` and ``hashlib`` release the GIL,
 so the work runs in parallel.  This bench measures what that buys, in
@@ -30,10 +33,16 @@ Run standalone for the CI perf-smoke gate::
     python benchmarks/bench_parallel_save.py --quick \
         --check-baseline benchmarks/results/BENCH_parallel_save.json
 
-The gate compares the measured save speedup of ``dedup+zlib t2`` over
-``t0`` against the committed baseline and fails on a >30% regression.
-The ratio depends on the cores available (the baseline records its
-``cpu_count``); the gate is meant for multi-core runners.
+The gate fails on a >30% regression against the committed baseline
+of either measured ratio:
+
+* ``save_speedup`` — the save wall of ``dedup+zlib t2`` over ``t0``
+  (must not fall below 0.7x the baseline).  It depends on the cores
+  available (the baseline records its ``cpu_count``); the gate is
+  meant for multi-core runners.
+* ``codec_tax`` — the save wall of ``dedup+zlib t0`` over ``dedup``
+  (no codec), from the same run: what the codec adds to a save on one
+  thread (must not rise above 1.3x the baseline).
 """
 
 from __future__ import annotations
@@ -89,8 +98,9 @@ def build_stamps(entries: int, elems: int, stamps: int) -> List[List[Tuple[str, 
     Every other element of each moment tensor is zero — the shape MoE
     optimizer state takes when expert gating leaves most tokens (and
     thus most moment updates) concentrated on a subset of rows.  That
-    is the regime where a chunk codec pays: zlib level 1 lands ~0.55
-    on this stream vs ~0.93 on dense gaussian float32.
+    is the regime where a chunk codec pays: at the full shape the
+    zlib store writes 6.7 MB per checkpoint against 11.8 MB without a
+    codec (byte-plane frames; whole-chunk zlib wrote 8.0 MB).
     """
     rng = np.random.default_rng(11)
 
@@ -301,6 +311,7 @@ def compute_results(tmpdir: str, quick: bool = False, passes: int = 2) -> dict:
     top = best[f"dedup+zlib t{THREAD_LADDER[-1]}"]
     results["save_speedup"] = top["save_speedup_vs_t0"]
     results["restore_speedup"] = top["restore_speedup_vs_t0"]
+    results["codec_tax"] = serial["save_seconds"] / best["dedup"]["save_seconds"]
     return results
 
 
@@ -337,7 +348,8 @@ def render_report(results: dict) -> str:
     top = THREAD_LADDER[-1]
     lines.append(
         f"headline (measured wall): dedup+zlib t{top} vs t0 = "
-        f"{results['save_speedup']:.2f}x save, {results['restore_speedup']:.2f}x restore"
+        f"{results['save_speedup']:.2f}x save, {results['restore_speedup']:.2f}x restore; "
+        f"codec tax (dedup+zlib t0 vs dedup save) = {results['codec_tax']:.2f}x"
     )
     return "\n".join(lines)
 
@@ -402,8 +414,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "--quick) and refresh the repo-root mirror")
     parser.add_argument("--check-baseline", metavar="PATH", default=None,
                         help="fail (exit 1) when the measured save speedup "
-                             "of the top thread count over t0 regresses "
-                             ">30%% vs the committed baseline JSON")
+                             "of the top thread count over t0, or the codec "
+                             "tax (t0 over no-codec save), regresses >30%% "
+                             "vs the committed baseline JSON")
     args = parser.parse_args(argv)
 
     baseline = None
@@ -437,6 +450,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         mirror_bench_json(json_path)
     check_results(results)
     if baseline is not None:
+        status = 0
         floor = 0.7 * baseline["save_speedup"]
         current = results["save_speedup"]
         print(f"perf gate: measured save speedup {current:.2f}x vs baseline "
@@ -445,7 +459,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         if current < floor:
             print("perf gate FAILED: measured save speedup regressed >30%",
                   file=sys.stderr)
-            return 1
+            status = 1
+        ceiling = 1.3 * baseline["codec_tax"]
+        tax = results["codec_tax"]
+        print(f"perf gate: measured codec tax {tax:.2f}x vs baseline "
+              f"{baseline['codec_tax']:.2f}x (ceiling {ceiling:.2f}x)")
+        if tax > ceiling:
+            print("perf gate FAILED: measured codec tax regressed >30%",
+                  file=sys.stderr)
+            status = 1
+        return status
     return 0
 
 

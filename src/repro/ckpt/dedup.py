@@ -61,6 +61,7 @@ from .codec import (
     ENCODED_CHUNK_SUFFIX,
     ChunkCodec,
     ChunkCodecError,
+    compressor_inputs,
     decode_chunk_file,
     encode_chunk_file,
     make_chunk_codec,
@@ -217,39 +218,39 @@ class ChunkStore:
     def has_chunk(self, digest: str) -> bool:
         return self._existing_path(digest) is not None
 
-    def write_chunk(self, digest: str, data, encoded: Optional[bytes] = None) -> bool:
-        """Store ``data`` under its address; returns True when novel.
+    def count_hit(self, size: int) -> None:
+        """Record a dedup hit: a ``size``-byte chunk already stored."""
+        self.dedup_hits += 1
+        self.dedup_bytes_saved += size
+
+    def write_chunk(self, digest: str, data, encoded: Optional[bytes] = None) -> None:
+        """Store ``data`` under its address.
+
+        The caller has already found the address absent
+        (:meth:`has_chunk`; :class:`DedupBackend` probes each digest of
+        a payload once), so this writes without probing again.
 
         ``data`` is ``bytes`` or a sequence of zero-copy buffer parts
         (a chunk window spanning frame boundaries — see
         :meth:`~repro.ckpt.serializer.PayloadFrames.chunk_slices`);
         parts are written with one buffered ``writelines``, never
-        concatenated.  Chunk files are immutable: if the address
-        already exists the bytes are identical by construction
-        (collision-free within SHA-256), so a duplicate write is a pure
-        metadata no-op.
+        concatenated.  Chunk files are immutable: an address holds the
+        same bytes whoever writes it (collision-free within SHA-256).
 
         ``encoded`` is an optional framed compressed body (see
         :func:`~repro.ckpt.codec.encode_chunk_file`) of the *same*
         chunk: when given, the encoded form is what hits disk — under
         ``<digest>.z``, the digest still addressing the uncompressed
-        content, so dedup hits are codec-independent.  A dedup hit in
-        either form short-circuits both.
+        content, so dedup hits are codec-independent.
         """
-        parts = (data,) if isinstance(data, (bytes, memoryview)) else data
-        size = sum(len(part) for part in parts)
-        if self.has_chunk(digest):
-            self.dedup_hits += 1
-            self.dedup_bytes_saved += size
-            return False
         if encoded is not None:
             path = self._encoded_path(digest)
             write_parts: Sequence = (encoded,)
             physical = len(encoded)
         else:
             path = self._path(digest)
-            write_parts = parts
-            physical = size
+            write_parts = (data,) if isinstance(data, (bytes, memoryview)) else data
+            physical = sum(len(part) for part in write_parts)
         self._ensure_shard_dir(path)
         tmp = path + ".tmp"
         with open(tmp, "wb") as handle:
@@ -261,7 +262,6 @@ class ChunkStore:
         self.chunk_bytes_written += physical
         if encoded is not None:
             self.chunks_encoded += 1
-        return True
 
     def read_chunk_stored(self, digest: str) -> Tuple[bytes, bool]:
         """Raw file body of a chunk plus whether it is an encoded frame."""
@@ -496,7 +496,10 @@ class DedupBackend(CheckpointBackend):
         """Train a codec dictionary on the store's own chunk corpus.
 
         Samples up to ``max_samples`` live chunks (decoded), trains a
-        raw-content dictionary, persists it content-addressed under
+        raw-content dictionary on what the codec would compress of them
+        (:func:`~repro.ckpt.codec.compressor_inputs`: whole short chunks,
+        the gated byte planes of longer ones), persists it
+        content-addressed under
         ``chunks/dicts/``, and rebuilds the codec to use it.  Returns
         the dictionary digest, or ``None`` when there is no codec or
         the corpus is too thin to train from.  Previously
@@ -508,7 +511,7 @@ class DedupBackend(CheckpointBackend):
         samples = []
         for digest in sorted(self.chunks.disk_chunks())[:max_samples]:
             try:
-                samples.append(self.chunks.read_chunk(digest))
+                samples.extend(compressor_inputs(self.chunks.read_chunk(digest)))
             except (KVStoreError, ChunkCodecError):  # pragma: no cover
                 continue
         dictionary = train_dictionary(samples, max_bytes=max_bytes)
@@ -531,7 +534,8 @@ class DedupBackend(CheckpointBackend):
         return self._map(QoS.SAVE, fn, items)
 
     def _novel_indices(self, digests: List[str]) -> List[int]:
-        """First-occurrence indices of digests not yet on disk."""
+        """First-occurrence indices of digests not yet on disk (one
+        existence probe per distinct digest)."""
         seen: set = set()
         novel: List[int] = []
         for index, digest in enumerate(digests):
@@ -543,19 +547,18 @@ class DedupBackend(CheckpointBackend):
         return novel
 
     def _encode_novel(
-        self, chunks: List[Sequence], digests: List[str], meters
+        self, chunks: List[Sequence], novel: List[int], meters
     ) -> Dict[int, Optional[bytes]]:
         """Framed encoded bodies for the novel chunks of a payload.
 
         Only chunks that will actually hit disk are encoded — dedup hits
         and repeated chunks never cost a compression pass, which is how
         the "≤1 compression pass per persisted byte" invariant stays an
-        inequality.  ``None`` marks an incompressible chunk (stored
-        raw).
+        inequality.  ``None`` marks a chunk stored raw (incompressible,
+        or no codec).
         """
         if self.codec is None:
-            return {}
-        novel = self._novel_indices(digests)
+            return dict.fromkeys(novel)
         codec = self.codec
         bodies = self._map_save(
             lambda index: encode_chunk_file(codec, chunks[index]), novel
@@ -581,9 +584,12 @@ class DedupBackend(CheckpointBackend):
             chunks = [[chunk] for chunk in chunk_payload(payload, self.chunk_bytes)]
             digests = self._map_save(lambda parts: chunk_digest(parts[0]), chunks)
             meters = None
-        encoded = self._encode_novel(chunks, digests, meters)
+        novel = self._encode_novel(chunks, self._novel_indices(digests), meters)
         for index, (digest, parts) in enumerate(zip(digests, chunks)):
-            self.chunks.write_chunk(digest, parts, encoded=encoded.get(index))
+            if index in novel:
+                self.chunks.write_chunk(digest, parts, encoded=novel[index])
+            else:
+                self.chunks.count_hit(sum(len(part) for part in parts))
         inc = Counter(digests)
         old = self._index.get(key)
         record = {

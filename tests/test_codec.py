@@ -289,3 +289,200 @@ class TestTrainDictionary:
         primed = make_chunk_codec("zlib", dictionary=dictionary)
         target = template + b"\xAA" * 16
         assert len(primed.encode(target)) <= len(plain.encode(target))
+
+
+# ---------------------------------------------------------------------------
+# Byte-plane frames: chunks of PLANE_MIN_BYTES or more are split into their
+# 8 byte planes, and only the low-entropy planes go through the codec.
+# ---------------------------------------------------------------------------
+
+from repro.ckpt import DedupBackend  # noqa: E402
+from repro.ckpt.codec import (  # noqa: E402
+    PLANE_MIN_BYTES,
+    compressor_inputs,
+)
+
+#: Every codec importable here (zstd and lz4 only where installed).
+CODECS = [name for name in ("zlib", "zstd", "lz4") if name in available_chunk_codecs()]
+
+#: Offset of the plane mask in a plane frame without a dictionary:
+#: tag, flags, u64 raw length.
+MASK_AT = 10
+
+#: A plain zlib frame written before byte planes existed, for the
+#: 195-byte chunk ``golden_plain_chunk()``.  Stores hold frames like it.
+GOLDEN_PLAIN_FRAME = bytes.fromhex(
+    "0100c3000000000000007801636040061feca13c0708cd01a505a03444948161"
+    "f0a8cbcd4f0600b97c0b13"
+)
+
+
+def golden_plain_chunk() -> bytes:
+    return (np.arange(24, dtype=np.float64) % 5).tobytes() + b"moc"
+
+
+def kind_chunk(kind: str, size: int, seed: int = 0) -> bytes:
+    """``size`` bytes of one entropy profile."""
+    rng = np.random.default_rng(seed)
+    if kind == "zeros":
+        return bytes(size)
+    if kind == "noise":
+        return rng.integers(0, 256, size, dtype=np.uint8).tobytes()
+    # fp64 values of similar magnitude: a near-constant sign/exponent
+    # plane, one partly predictable plane, six noisy mantissa planes
+    values = rng.normal(1.0, 0.25, size // 8 + 1)
+    return values.tobytes()[:size]
+
+
+def split_parts(raw: bytes, cuts) -> list:
+    """``raw`` as zero-copy parts split at ``cuts``."""
+    view = memoryview(raw)
+    bounds = [0, *sorted(cuts), len(raw)]
+    return [view[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def plane_frame(raw: bytes, codec_name: str = "zlib") -> bytes:
+    body = encode_chunk_file(make_chunk_codec(codec_name), [raw])
+    assert body is not None and body[1] & 2, "expected a byte-plane frame"
+    return body
+
+
+class TestBytePlaneFrames:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        size=st.one_of(
+            st.integers(PLANE_MIN_BYTES - 20, PLANE_MIN_BYTES + 20),
+            st.integers(64, 3 * PLANE_MIN_BYTES),
+        ),
+        kind=st.sampled_from(["zeros", "noise", "mixed"]),
+        cuts=st.lists(st.integers(0, 3 * PLANE_MIN_BYTES), max_size=4),
+        codec_name=st.sampled_from(CODECS),
+        trained=st.booleans(),
+        seed=st.integers(0, 50),
+    )
+    def test_roundtrip_property(self, size, kind, cuts, codec_name, trained, seed):
+        raw = kind_chunk(kind, size, seed)
+        dictionary = None
+        if trained and codec_name != "lz4":  # lz4 takes no dictionary
+            corpus = [kind_chunk("mixed", PLANE_MIN_BYTES * 2, seed + s) for s in range(4)]
+            dictionary = train_dictionary(
+                [x for chunk in corpus for x in compressor_inputs(chunk)]
+            ) or None
+        codec = make_chunk_codec(codec_name, dictionary=dictionary)
+        parts = split_parts(raw, [cut for cut in cuts if cut <= size])
+        body = encode_chunk_file(codec, parts)
+        if kind == "noise":
+            assert body is None
+        if kind == "zeros" or (kind == "mixed" and size >= PLANE_MIN_BYTES):
+            assert body is not None
+        if body is None:
+            return
+        assert len(body) < size
+        assert bool(body[1] & 2) == (size >= PLANE_MIN_BYTES)
+        assert decode_chunk_file(body, lambda digest: dictionary) == raw
+
+    def test_mixed_chunk_compresses_only_gated_planes(self):
+        raw = kind_chunk("mixed", 8 * PLANE_MIN_BYTES + 5)
+        codec = make_chunk_codec("zlib")
+        body = encode_chunk_file(codec, [raw])
+        mask = body[MASK_AT]
+        fed = compressor_inputs(raw)
+        assert 0 < bin(mask).count("1") == len(fed) < 8
+        # the codec's stats count exactly the planes fed to it
+        assert codec.stats.raw_bytes == sum(map(len, fed)) == len(fed) * (len(raw) // 8)
+        assert decode_chunk_file(body, no_dictionary) == raw
+
+    def test_chunk_without_gated_planes_is_stored_raw(self):
+        codec = make_chunk_codec("zlib")
+        assert encode_chunk_file(codec, [kind_chunk("noise", 4 * PLANE_MIN_BYTES)]) is None
+        assert codec.stats.raw_bytes == 0  # no compressor ran
+        assert compressor_inputs(kind_chunk("noise", 4 * PLANE_MIN_BYTES)) == []
+
+    def test_short_chunks_keep_the_plain_frame(self):
+        raw = kind_chunk("zeros", PLANE_MIN_BYTES - 1)
+        body = encode_chunk_file(make_chunk_codec("zlib"), [raw])
+        assert body[1] & 2 == 0
+        assert compressor_inputs(raw) == [raw]
+
+    def test_golden_plain_frame_still_decodes(self):
+        assert decode_chunk_file(GOLDEN_PLAIN_FRAME, no_dictionary) == golden_plain_chunk()
+        # and the plain encoder still writes it byte for byte
+        codec = make_chunk_codec("zlib")
+        assert encode_chunk_file(codec, [golden_plain_chunk()]) == GOLDEN_PLAIN_FRAME
+
+    @pytest.mark.parametrize("mask", [0x00, "extra", "missing"])
+    def test_bad_plane_mask_rejected(self, mask):
+        body = bytearray(plane_frame(kind_chunk("mixed", 2 * PLANE_MIN_BYTES + 3)))
+        good = body[MASK_AT]
+        raw_plane = next(p for p in range(8) if not good >> p & 1)
+        body[MASK_AT] = {
+            0x00: 0, "extra": good | 1 << raw_plane,
+            "missing": good & ~(good & -good),
+        }[mask]
+        with pytest.raises(ChunkCodecError):
+            decode_chunk_file(bytes(body), no_dictionary)
+
+    @pytest.mark.parametrize("delta", [-1, 1, 1 << 20])
+    def test_wrong_plane_length_rejected(self, delta):
+        body = bytearray(plane_frame(kind_chunk("mixed", 2 * PLANE_MIN_BYTES + 3)))
+        size = int.from_bytes(body[MASK_AT + 1:MASK_AT + 5], "little")
+        body[MASK_AT + 1:MASK_AT + 5] = (size + delta).to_bytes(4, "little")
+        with pytest.raises(ChunkCodecError):
+            decode_chunk_file(bytes(body), no_dictionary)
+
+    @pytest.mark.parametrize("keep", [MASK_AT, MASK_AT + 1, MASK_AT + 3, MASK_AT + 40, -1])
+    def test_truncated_plane_rejected(self, keep):
+        body = plane_frame(kind_chunk("mixed", 2 * PLANE_MIN_BYTES + 3))
+        with pytest.raises(ChunkCodecError):
+            decode_chunk_file(body[:keep], no_dictionary)
+
+    def test_unknown_flag_bit_rejected(self):
+        body = bytearray(plane_frame(kind_chunk("mixed", 2 * PLANE_MIN_BYTES)))
+        body[1] |= 0x80
+        with pytest.raises(ChunkCodecError):
+            decode_chunk_file(bytes(body), no_dictionary)
+
+    def test_fsck_reports_corrupt_plane_frame(self, tmp_path):
+        store = DedupBackend(str(tmp_path), chunk_bytes=2 * PLANE_MIN_BYTES, codec="zlib")
+        store.put("k", {"x": np.random.default_rng(3).normal(1.0, 0.25, 4096)}, stamp=1)
+        assert store.fsck().ok
+        digest = next(
+            d for d in store.chunks_of("k") if store.chunks.read_chunk_stored(d)[1]
+        )
+        path = store.chunks._encoded_path(digest)
+        with open(path, "rb") as handle:
+            body = bytearray(handle.read())
+        assert body[1] & 2
+        body[MASK_AT] = 0
+        with open(path, "wb") as handle:
+            handle.write(bytes(body))
+        report = store.fsck()
+        assert not report.ok
+        assert digest in report.corrupt_chunks
+
+    def test_trained_dictionary_does_not_raise_physical_bytes(self, tmp_path):
+        # the templated corpus above, widened past the plane cut
+        template = np.frombuffer(compressible_chunk(512, seed=3) * 8, np.float64)
+
+        def entry(seed):
+            return {"x": np.concatenate([template, np.full(2, float(seed))])}
+
+        def store_at(name):
+            store = DedupBackend(str(tmp_path / name), chunk_bytes=4 * PLANE_MIN_BYTES,
+                                 codec="zlib")
+            for seed in range(8):
+                store.put(f"k{seed}", entry(seed), stamp=1)
+            return store
+
+        plain, trained = store_at("plain"), store_at("trained")
+        assert trained.train_codec_dictionary() is not None
+        before = {store: store.chunks.chunk_bytes_written for store in (plain, trained)}
+        for store in (plain, trained):
+            for seed in range(8, 16):
+                store.put(f"k{seed}", entry(seed), stamp=2)
+        written = {store: store.chunks.chunk_bytes_written - before[store]
+                   for store in (plain, trained)}
+        assert 0 < written[trained] <= written[plain]
+        for seed in range(16):
+            assert np.array_equal(trained.get(f"k{seed}")["x"], entry(seed)["x"])
+        assert trained.fsck().ok

@@ -70,6 +70,23 @@ class TestChunking:
 
 
 class TestDedupBehaviour:
+    @pytest.mark.parametrize("codec", [None, "zlib"])
+    def test_one_existence_probe_per_distinct_chunk(self, tmp_path, monkeypatch, codec):
+        store = DedupBackend(str(tmp_path), chunk_bytes=64, codec=codec)
+        store.put("a", entry(1.0), stamp=1)
+        probes = []
+        has_chunk = store.chunks.has_chunk
+        monkeypatch.setattr(store.chunks, "has_chunk",
+                            lambda digest: probes.append(digest) or has_chunk(digest))
+        hits = store.chunks.dedup_hits
+        # repeated chunks within the payload, some already on disk
+        store.put("b", {"x": np.concatenate([np.full(64, 1.0), np.full(64, 2.0)])},
+                  stamp=2)
+        digests = store.chunks_of("b")
+        assert sorted(probes) == sorted(set(digests))
+        novel = len(set(digests) - set(store.chunks_of("a")))
+        assert store.chunks.dedup_hits - hits == len(digests) - novel
+
     def test_identical_reput_writes_zero_chunk_bytes(self, tmp_path):
         store = DedupBackend(str(tmp_path), chunk_bytes=128)
         store.put("k", entry(1.0), stamp=1)
