@@ -8,7 +8,8 @@ but the codec is still the largest per-chunk cost of a save.
 ``DedupBackend(parallel_workers=N)`` shares that
 per-chunk work between the calling thread and up to N helper tasks on
 the I/O scheduler's threads; ``zlib`` and ``hashlib`` release the GIL,
-so the work runs in parallel.  This bench measures what that buys, in
+so the work runs in parallel.  A batched put encodes the novel chunks
+of all its entries in one fan-out.  This bench measures what that buys, in
 wall-clock seconds on the machine it runs on — nothing is modeled.
 
 Configs raced on an identical zero-heavy checkpoint stream (MoE

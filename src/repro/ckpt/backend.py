@@ -161,6 +161,10 @@ class CheckpointBackend(abc.ABC):
     def put_serialized(self, key: str, payload: Payload, stamp: int, node=0) -> int:
         """Store an already-serialized payload (meters included)."""
         self._write(key, payload, stamp, node)
+        return self._count_put(payload)
+
+    def _count_put(self, payload: Payload) -> int:
+        """Meter one stored payload; returns its length."""
         with self._meter_lock:
             self.bytes_written += len(payload)
             self.put_count += 1

@@ -199,8 +199,10 @@ class ChunkCodec:
     ``encode_parts`` consumes a chunk as the zero-copy buffer parts the
     save pipeline already has (:meth:`PayloadFrames.chunk_slices`) — the
     codec streams them through its compressor, so compression adds **no
-    staging copy**.  ``decode`` inverts a full encoded payload (the
-    frame body, without the header — see :func:`encode_chunk_file` /
+    staging copy** (a byte-plane frame feeds it planes, and the plane
+    transpose is that frame's only copy; see :func:`encode_chunk_file`).
+    ``decode`` inverts a full encoded payload (the frame body, without
+    the header — see :func:`encode_chunk_file` /
     :func:`decode_chunk_file` for the framed form).
 
     Subclasses set ``name``/``tag`` and implement ``_compressor`` /
@@ -418,11 +420,20 @@ _FLAG_PLANES = 2
 #: Bytes per word of the byte-plane split (checkpoint arrays are fp64).
 _PLANES = 8
 
-#: Chunks shorter than this keep the plain frame: below it the fixed
-#: per-chunk cost of the split (a few numpy calls, one compressor per
-#: plane) outweighs what planes save, and the entropy estimate sees too
-#: few bytes per plane to tell a compressible plane from noise.
-PLANE_MIN_BYTES = 4096
+#: Words sampled per chunk for the entropy estimate, spread evenly over
+#: the chunk: a uniform-noise plane then estimates at 7.59 bits on
+#: average (7.48 at the lowest of 2000 draws), well clear of the gate,
+#: and the estimate stays a few small numpy calls — it holds the GIL,
+#: unlike the compressor.
+_GATE_SAMPLE_WORDS = 512
+
+#: Chunks shorter than this keep the plain frame.  It is the shortest
+#: chunk with :data:`_GATE_SAMPLE_WORDS` words: with fewer samples a
+#: noise plane's estimate falls toward the gate (at most ``log2(n)``
+#: bits for ``n`` samples), and on the short tail chunks of real fp64
+#: entries a plane frame took 4x the encode time of a plain frame for
+#: 1.4% fewer stored bytes (DESIGN.md, "Byte-plane frames").
+PLANE_MIN_BYTES = _GATE_SAMPLE_WORDS * _PLANES
 
 #: A plane goes through the codec only when its estimated order-0
 #: entropy is below this many bits per byte.  On fp64 checkpoint chunks
@@ -431,56 +442,111 @@ PLANE_MIN_BYTES = 4096
 #: spends most of its time for under 1% of the bytes.
 PLANE_ENTROPY_GATE = 7.0
 
-#: Words sampled per chunk for the entropy estimate (at most), spread
-#: evenly over the chunk: a uniform-noise plane then estimates at
-#: 7.59 bits on average (7.48 at the lowest of 2000 draws), well clear
-#: of the gate, and the estimate stays a few small numpy calls — it
-#: holds the GIL, unlike the compressor.
-_GATE_SAMPLE_WORDS = 512
-
 #: Offsets that give each plane its own 256-bin range in one bincount.
-_PLANE_BINS = np.arange(_PLANES, dtype=np.intp) * 256
+_PLANE_BINS = np.arange(_PLANES, dtype=np.intp)[:, None] * 256
 
 #: ``c * log2(c)`` for every count a sampled plane byte can reach.
 _XLOG2X = np.array([c * np.log2(c) if c else 0.0 for c in range(_GATE_SAMPLE_WORDS + 1)])
 
-
-def _word_grid(parts: Sequence[Frame]) -> Tuple[np.ndarray, np.ndarray]:
-    """A chunk's 8-byte words as a ``(len // 8, 8)`` array (column p is
-    plane p) and its ``len % 8``-byte tail: views of the chunk, joined
-    first only when it comes in several parts."""
-    data = parts[0] if len(parts) == 1 else b"".join(parts)
-    flat = np.frombuffer(data, np.uint8)
-    words = len(flat) // _PLANES
-    return flat[:words * _PLANES].reshape(words, _PLANES), flat[words * _PLANES:]
+#: A plane is under the gate when its ``sum(c log2 c)`` exceeds this:
+#: with ``n`` samples the entropy is ``log2(n) - sum(c log2 c) / n``.
+_GATE_MIN_ORDER = _GATE_SAMPLE_WORDS * (np.log2(_GATE_SAMPLE_WORDS) - PLANE_ENTROPY_GATE)
 
 
-def _gated_planes(grid: np.ndarray) -> List[int]:
-    """Planes of ``grid`` whose sampled order-0 entropy is under the gate.
+def _byte_planes(parts: Sequence[Frame], raw_len: int) -> Tuple[np.ndarray, np.ndarray]:
+    """A chunk's ``(8, raw_len // 8)`` byte planes (row p holds chunk
+    bytes p, p + 8, ...) and its ``raw_len % 8``-byte tail.
 
-    With ``n`` sampled words and byte counts ``c`` per plane, the
-    entropy is ``log2(n) - sum(c log2 c) / n``; the test is rearranged
-    so the only per-chunk numpy work is one add, one ``bincount``, one
-    table lookup and one sum.
+    A chunk in several parts (a window across tensor frames) is copied
+    part by part straight into the planes, never joined first, so the
+    split is the only copy the frame makes.
     """
-    sample = grid[::-(-len(grid) // _GATE_SAMPLE_WORDS)]
-    n = len(sample)
+    words = raw_len // _PLANES
+    cut = words * _PLANES
+    if len(parts) == 1:
+        flat = np.frombuffer(parts[0], np.uint8)
+        return flat[:cut].reshape(words, _PLANES).T.copy(), flat[cut:]
+    planes = np.empty((_PLANES, words), np.uint8)
+    tail = np.empty(raw_len - cut, np.uint8)
+    start = 0
+    for part in parts:
+        flat = np.frombuffer(part, np.uint8)
+        end = start + len(flat)
+        for plane in range(_PLANES):
+            first = (plane - start) % _PLANES
+            run = flat[first:max(cut - start, 0):_PLANES]
+            word = (start + first) // _PLANES
+            planes[plane, word:word + len(run)] = run
+        if end > cut:
+            lo = max(start, cut)
+            tail[lo - cut:end - cut] = flat[lo - start:]
+        start = end
+    return planes, tail
+
+
+def _gate_sample(planes: np.ndarray) -> np.ndarray:
+    """Exactly :data:`_GATE_SAMPLE_WORDS` evenly spaced words of
+    ``planes`` (which has at least that many), as ``(8, n)``."""
+    return planes[:, ::planes.shape[1] // _GATE_SAMPLE_WORDS][:, :_GATE_SAMPLE_WORDS]
+
+
+def _gated_planes(planes: np.ndarray) -> List[int]:
+    """Planes whose sampled order-0 entropy is under the gate.
+
+    The test is rearranged so the only per-chunk numpy work is one add,
+    one ``bincount``, one table lookup and one sum.
+    """
+    sample = _gate_sample(planes)
     counts = np.bincount((sample + _PLANE_BINS).ravel(), minlength=_PLANES * 256)
     order = _XLOG2X[counts.reshape(_PLANES, 256)].sum(axis=1)
-    return np.flatnonzero(order > n * (np.log2(n) - PLANE_ENTROPY_GATE)).tolist()
+    return np.flatnonzero(order > _GATE_MIN_ORDER).tolist()
+
+
+@dataclass
+class _Split:
+    """How :func:`encode_chunk_file` frames one chunk.
+
+    ``streams`` are the compressor inputs, each compressed as one
+    stream: the chunk's parts for a plain frame (``mask`` is ``None``),
+    else one gated plane each, in ascending plane order (``mask`` has
+    their bits).  ``raw`` is what a plane frame stores as is after the
+    compressed planes: the other planes, ascending, then the tail.
+    """
+
+    mask: Optional[int]
+    streams: List[Sequence[Frame]]
+    raw: List[Frame]
+
+
+def _split_chunk(parts: Sequence[Frame]) -> Optional[_Split]:
+    """The frame choice for a chunk, or ``None`` when it is stored raw
+    without running the compressor (shorter than
+    :data:`_MIN_ENCODE_BYTES`, or no byte plane under the gate)."""
+    raw_len = sum(len(part) for part in parts)
+    if raw_len < _MIN_ENCODE_BYTES:
+        return None
+    if raw_len < PLANE_MIN_BYTES:
+        return _Split(None, [parts], [])
+    planes, tail = _byte_planes(parts, raw_len)
+    gated = _gated_planes(planes)
+    if not gated:
+        return None
+    return _Split(
+        sum(1 << plane for plane in gated),
+        [[planes[plane]] for plane in gated],
+        [planes[plane] for plane in range(_PLANES) if plane not in gated] + [tail],
+    )
 
 
 def compressor_inputs(chunk: Union[bytes, memoryview]) -> List[bytes]:
-    """The bytes :func:`encode_chunk_file` would feed the codec for
-    ``chunk``: the whole chunk under a plain frame, else the planes that
-    pass the entropy gate.  Dictionary training samples these, so a
-    dictionary is trained on what it is applied to."""
-    if len(chunk) < _MIN_ENCODE_BYTES:
+    """The bytes :func:`encode_chunk_file` feeds the codec for
+    ``chunk``, one item per compressor stream.  Dictionary training
+    samples these, so a dictionary is trained on what it is applied
+    to."""
+    split = _split_chunk([chunk])
+    if split is None:
         return []
-    if len(chunk) < PLANE_MIN_BYTES:
-        return [bytes(chunk)]
-    grid, _ = _word_grid([chunk])
-    return [grid[:, plane].tobytes() for plane in _gated_planes(grid)]
+    return [b"".join(bytes(part) for part in stream) for stream in split.streams]
 
 
 def encode_chunk_file(codec: ChunkCodec, parts: Sequence[Frame]) -> Optional[bytes]:
@@ -493,35 +559,29 @@ def encode_chunk_file(codec: ChunkCodec, parts: Sequence[Frame]) -> Optional[byt
     therefore per chunk, and a store may hold a mix of both.
 
     Chunks of at least :data:`PLANE_MIN_BYTES` get a byte-plane frame:
-    one sampled ``bincount`` estimates each plane's entropy, and when
-    some plane is under :data:`PLANE_ENTROPY_GATE` one transpose splits
-    the chunk into its 8 planes; each gated plane goes through one
-    ``codec.encode_parts`` call, and the other planes and the tail are
-    copied raw.  Shorter chunks stream their parts through the codec
-    unjoined (the plain frame).
+    one transpose splits the chunk into its 8 planes, one sampled
+    ``bincount`` estimates each plane's entropy, and each plane under
+    :data:`PLANE_ENTROPY_GATE` goes through one ``codec.encode_parts``
+    call; the other planes and the tail are copied raw.  Shorter chunks
+    stream their parts through the codec unjoined (the plain frame).
     """
-    raw_len = sum(len(part) for part in parts)
-    if raw_len < _MIN_ENCODE_BYTES:
+    split = _split_chunk(parts)
+    if split is None:
         return None
+    encoded = [codec.encode_parts(stream) for stream in split.streams]
     flags = _FLAG_DICTIONARY if codec.dictionary else 0
-    if raw_len < PLANE_MIN_BYTES:
-        body: List[Frame] = [codec.encode_parts(parts)]
+    if split.mask is None:
+        body: List[Frame] = encoded
     else:
-        grid, tail = _word_grid(parts)
-        gated = _gated_planes(grid)
-        if not gated:
-            return None
-        planes = grid.T.copy()
         flags |= _FLAG_PLANES
-        body = [bytes([sum(1 << plane for plane in gated)])]
-        for plane in gated:
-            encoded = codec.encode_parts([planes[plane]])
-            body += [_PLANE_LEN.pack(len(encoded)), encoded]
-        body += [planes[plane] for plane in range(_PLANES) if plane not in gated]
-        body.append(tail)
+        body = [bytes([split.mask])]
+        for stream in encoded:
+            body += [_PLANE_LEN.pack(len(stream)), stream]
+        body += split.raw
     head = _FRAME_HEAD.pack(codec.tag, flags)
     if codec.dictionary:
         head += bytes.fromhex(codec.dict_digest)
+    raw_len = sum(len(part) for part in parts)
     head += _FRAME_LEN.pack(raw_len)
     if len(head) + sum(len(part) for part in body) >= raw_len:
         return None

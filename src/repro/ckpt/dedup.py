@@ -406,6 +406,39 @@ class ChunkStore:
         )
 
 
+#: A batched put stages (chunks, probes and encodes) its entries in runs
+#: of at most this many payload bytes, then writes the run: the encoded
+#: chunk bodies of one run are what a put holds in memory at once.
+STAGE_BYTES = 64 * 1024 * 1024
+
+
+@dataclass
+class _Staged:
+    """One payload of a put, chunked, with its novel chunks encoded
+    (see :meth:`DedupBackend._stage`)."""
+
+    digests: List[str]
+    chunks: List[Sequence]
+    meters: Optional[object]
+    #: Chunk index -> encoded file body (``None``: stored raw) for the
+    #: chunks this put writes; every other chunk is a dedup hit.
+    novel: Dict[int, Optional[bytes]] = field(default_factory=dict)
+
+
+def _runs(items: Sequence) -> List[list]:
+    """Consecutive runs of put items of at most :data:`STAGE_BYTES`
+    payload bytes each (an oversize item forms a run of its own)."""
+    runs: List[list] = []
+    nbytes = 0
+    for item in items:
+        if not runs or nbytes + len(item[1]) > STAGE_BYTES:
+            runs.append([])
+            nbytes = 0
+        runs[-1].append(item)
+        nbytes += len(item[1])
+    return runs
+
+
 class DedupBackend(CheckpointBackend):
     """Content-addressed persist tier: every entry is a chunk manifest.
 
@@ -533,45 +566,9 @@ class DedupBackend(CheckpointBackend):
     def _map_save(self, fn: Callable, items: Sequence) -> list:
         return self._map(QoS.SAVE, fn, items)
 
-    def _novel_indices(self, digests: List[str]) -> List[int]:
-        """First-occurrence indices of digests not yet on disk (one
-        existence probe per distinct digest)."""
-        seen: set = set()
-        novel: List[int] = []
-        for index, digest in enumerate(digests):
-            if digest in seen:
-                continue
-            seen.add(digest)
-            if not self.chunks.has_chunk(digest):
-                novel.append(index)
-        return novel
-
-    def _encode_novel(
-        self, chunks: List[Sequence], novel: List[int], meters
-    ) -> Dict[int, Optional[bytes]]:
-        """Framed encoded bodies for the novel chunks of a payload.
-
-        Only chunks that will actually hit disk are encoded — dedup hits
-        and repeated chunks never cost a compression pass, which is how
-        the "≤1 compression pass per persisted byte" invariant stays an
-        inequality.  ``None`` marks a chunk stored raw (incompressible,
-        or no codec).
-        """
-        if self.codec is None:
-            return dict.fromkeys(novel)
-        codec = self.codec
-        bodies = self._map_save(
-            lambda index: encode_chunk_file(codec, chunks[index]), novel
-        )
-        if meters is not None:
-            for index, body in zip(novel, bodies):
-                raw_len = sum(len(part) for part in chunks[index])
-                meters.count_compressed(
-                    raw_len, len(body) if body is not None else raw_len
-                )
-        return dict(zip(novel, bodies))
-
-    def _write(self, key: str, payload, stamp: int, node) -> None:
+    def _chunked(self, payload) -> _Staged:
+        """A payload's chunk digests, its chunks as buffer parts, and the
+        meters its compression is counted on."""
         # Single-hash-pass path: a rope's digests come from its cache
         # when the manager's delta-save check already computed them, and
         # from one (possibly fanned-out) sweep otherwise; chunk data is
@@ -579,15 +576,63 @@ class DedupBackend(CheckpointBackend):
         if isinstance(payload, PayloadFrames):
             digests = payload.chunk_digests(self.chunk_bytes, self._map_save)
             chunks = list(payload.chunk_slices(self.chunk_bytes))
-            meters = payload.meters
+            return _Staged(digests, chunks, payload.meters)
+        # Views, not copies: a staged run holds every chunk of its
+        # payloads until they are written.
+        view = memoryview(payload)
+        chunks = [[chunk] for chunk in chunk_payload(view, self.chunk_bytes)]
+        digests = self._map_save(lambda parts: chunk_digest(parts[0]), chunks)
+        return _Staged(digests, chunks, None)
+
+    def _stage(self, payloads: Sequence) -> List[_Staged]:
+        """Chunk a run of payloads and encode their novel chunks.
+
+        A chunk is novel at its first occurrence in the run when it is
+        not already stored (one existence probe per distinct digest).
+        The novel chunks of the whole run are encoded in one
+        :meth:`_map_save`, so a batch of entries of a few chunks each
+        still gives the fan-out helpers enough chunks to share.  Only
+        chunks that will hit disk are encoded — dedup hits and repeated
+        chunks never cost a compression pass, which is how the "≤1
+        compression pass per persisted byte" invariant stays an
+        inequality.  A ``None`` body marks a chunk stored raw
+        (incompressible, or no codec).
+        """
+        staged = [self._chunked(payload) for payload in payloads]
+        seen: set = set()
+        novel: List[Tuple[_Staged, int]] = []
+        for entry in staged:
+            for index, digest in enumerate(entry.digests):
+                if digest not in seen:
+                    seen.add(digest)
+                    if not self.chunks.has_chunk(digest):
+                        novel.append((entry, index))
+        codec = self.codec
+        if codec is None:
+            bodies: List[Optional[bytes]] = [None] * len(novel)
         else:
-            chunks = [[chunk] for chunk in chunk_payload(payload, self.chunk_bytes)]
-            digests = self._map_save(lambda parts: chunk_digest(parts[0]), chunks)
-            meters = None
-        novel = self._encode_novel(chunks, self._novel_indices(digests), meters)
-        for index, (digest, parts) in enumerate(zip(digests, chunks)):
-            if index in novel:
-                self.chunks.write_chunk(digest, parts, encoded=novel[index])
+            bodies = self._map_save(
+                lambda item: encode_chunk_file(codec, item[0].chunks[item[1]]), novel
+            )
+        for (entry, index), body in zip(novel, bodies):
+            entry.novel[index] = body
+            if codec is not None and entry.meters is not None:
+                raw_len = sum(len(part) for part in entry.chunks[index])
+                entry.meters.count_compressed(
+                    raw_len, len(body) if body is not None else raw_len
+                )
+        return staged
+
+    def _write(self, key: str, payload, stamp: int, node) -> None:
+        self._store(key, payload, stamp, self._stage([payload])[0])
+
+    def _store(self, key: str, payload, stamp: int, staged: _Staged) -> None:
+        """Write a staged payload's novel chunks and journal its manifest
+        (deferred to the end of a batch)."""
+        digests = staged.digests
+        for index, (digest, parts) in enumerate(zip(digests, staged.chunks)):
+            if index in staged.novel:
+                self.chunks.write_chunk(digest, parts, encoded=staged.novel[index])
             else:
                 self.chunks.count_hit(sum(len(part) for part in parts))
         inc = Counter(digests)
@@ -639,13 +684,21 @@ class DedupBackend(CheckpointBackend):
 
     def put_many_serialized(self, items) -> List[int]:
         """Batched puts: one incref append, one manifest append, one
-        decref append for the whole batch (ordering preserved).  An
-        item failing mid-batch still journals the completed prefix —
-        the manifests never lag chunks already written."""
+        decref append for the whole batch (ordering preserved).  Items
+        are staged in runs (:func:`_runs`): a run's novel chunks are
+        encoded in one fan-out, then its chunks are written item by
+        item in the same order as single puts, so every crash seam
+        fires in the same sequence.  An item failing mid-batch still
+        journals the completed prefix — the manifests never lag chunks
+        already written."""
         self._defer = True
+        sizes: List[int] = []
         try:
-            sizes = [self.put_serialized(key, payload, stamp, node)
-                     for key, payload, stamp, node in items]
+            for run in _runs(items):
+                staged = self._stage([payload for _, payload, _, _ in run])
+                for (key, payload, stamp, _node), entry in zip(run, staged):
+                    self._store(key, payload, stamp, entry)
+                    sizes.append(self._count_put(payload))
         except BaseException as exc:
             # The prefix's in-memory index entries are already updated;
             # drop the ones whose records are being discarded on crash.

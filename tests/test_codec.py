@@ -380,6 +380,8 @@ class TestBytePlaneFrames:
         assert len(body) < size
         assert bool(body[1] & 2) == (size >= PLANE_MIN_BYTES)
         assert decode_chunk_file(body, lambda digest: dictionary) == raw
+        # the parts are framed exactly like the joined chunk
+        assert encode_chunk_file(codec, [raw]) == body
 
     def test_mixed_chunk_compresses_only_gated_planes(self):
         raw = kind_chunk("mixed", 8 * PLANE_MIN_BYTES + 5)
@@ -397,6 +399,24 @@ class TestBytePlaneFrames:
         assert encode_chunk_file(codec, [kind_chunk("noise", 4 * PLANE_MIN_BYTES)]) is None
         assert codec.stats.raw_bytes == 0  # no compressor ran
         assert compressor_inputs(kind_chunk("noise", 4 * PLANE_MIN_BYTES)) == []
+
+    @pytest.mark.parametrize("size", [PLANE_MIN_BYTES + 8, 2 * PLANE_MIN_BYTES - 8])
+    def test_noise_past_the_cut_calls_no_compressor(self, size):
+        # the gate samples the same number of words at every length, so
+        # a noise plane stays clear of it just past the cut too
+        codec = make_chunk_codec("zlib")
+        for seed in range(20):
+            assert encode_chunk_file(codec, [kind_chunk("noise", size, seed)]) is None
+        assert codec.stats.raw_bytes == 0
+
+    @pytest.mark.parametrize("words", [512, 513, 700, 1023, 1024, 1537, 8192])
+    def test_gate_sample_size_is_fixed(self, words):
+        from repro.ckpt.codec import _gate_sample
+
+        planes = np.arange(8 * words).reshape(8, words)
+        sample = _gate_sample(planes)
+        assert sample.shape == (8, PLANE_MIN_BYTES // 8)
+        assert len(set(sample[0].tolist())) == sample.shape[1]  # distinct words
 
     def test_short_chunks_keep_the_plain_frame(self):
         raw = kind_chunk("zeros", PLANE_MIN_BYTES - 1)

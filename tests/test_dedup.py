@@ -87,6 +87,47 @@ class TestDedupBehaviour:
         novel = len(set(digests) - set(store.chunks_of("a")))
         assert store.chunks.dedup_hits - hits == len(digests) - novel
 
+    @pytest.mark.parametrize("stage_bytes", [None, 1])
+    def test_batched_put_encodes_each_run_in_one_fan_out(
+        self, tmp_path, monkeypatch, stage_bytes
+    ):
+        import repro.ckpt.dedup as dedup_module
+
+        if stage_bytes is not None:  # every item a run of its own
+            monkeypatch.setattr(dedup_module, "STAGE_BYTES", stage_bytes)
+        rng = np.random.default_rng(5)
+        shared = rng.normal(1.0, 0.25, 512)
+        items = [
+            (f"k{i}", {"x": np.concatenate([shared, rng.normal(1.0, 0.25, 512)])}, 1, 0)
+            for i in range(4)
+        ]
+        items.append(("dup", items[1][1], 1, 0))  # repeats k1 within the batch
+        single = DedupBackend(str(tmp_path / "single"), chunk_bytes=1024, codec="zlib")
+        for key, value, stamp, _node in items:
+            single.put(key, value, stamp=stamp)
+        batched = DedupBackend(str(tmp_path / "batched"), chunk_bytes=1024, codec="zlib",
+                               parallel_workers=2)
+        fan_outs = []
+        map_save = batched._map_save
+        monkeypatch.setattr(batched, "_map_save",
+                            lambda fn, run: fan_outs.append(run) or map_save(fn, run))
+        batched.put_many(items)
+        # same chunks, files and meters as one put at a time
+        for name in ("chunks_written", "chunk_bytes_written", "chunks_encoded",
+                     "dedup_hits", "dedup_bytes_saved"):
+            assert getattr(batched.chunks, name) == getattr(single.chunks, name), name
+        assert batched.chunks.disk_chunks() == single.chunks.disk_chunks()
+        assert batched.fsck().ok
+        for key, value, _stamp, _node in items:
+            np.testing.assert_array_equal(batched.get(key)["x"], value["x"])
+        # digest sweeps fan out per entry; encodes once per run
+        encodes = [len(run) for run in fan_outs
+                   if run and isinstance(run[0], tuple)
+                   and isinstance(run[0][0], dedup_module._Staged)]
+        assert sum(encodes) == single.chunks.chunks_written
+        # ("dup" stages no novel chunk of its own)
+        assert len(encodes) == (1 if stage_bytes is None else len(items) - 1)
+
     def test_identical_reput_writes_zero_chunk_bytes(self, tmp_path):
         store = DedupBackend(str(tmp_path), chunk_bytes=128)
         store.put("k", entry(1.0), stamp=1)
